@@ -30,8 +30,6 @@ pub enum SectionElem {
     U64,
     /// 8-byte IEEE-754 doubles.
     F64,
-    /// 16-byte `[lo, hi]` interval pairs (two consecutive doubles).
-    Interval,
 }
 
 impl SectionElem {
@@ -40,7 +38,6 @@ impl SectionElem {
             SectionElem::U32 => 0,
             SectionElem::U64 => 1,
             SectionElem::F64 => 2,
-            SectionElem::Interval => 3,
         }
     }
 
@@ -49,7 +46,6 @@ impl SectionElem {
             0 => Some(SectionElem::U32),
             1 => Some(SectionElem::U64),
             2 => Some(SectionElem::F64),
-            3 => Some(SectionElem::Interval),
             _ => None,
         }
     }
@@ -58,7 +54,6 @@ impl SectionElem {
         match self {
             SectionElem::U32 => 4,
             SectionElem::U64 | SectionElem::F64 => 8,
-            SectionElem::Interval => 16,
         }
     }
 }
@@ -99,11 +94,6 @@ impl ImageWriter {
     /// Appends an `f64` section under `tag`.
     pub fn put_f64(&mut self, tag: u32, values: &[f64]) {
         self.put(tag, SectionElem::F64, values);
-    }
-
-    /// Appends an [`Interval`](crate::Interval) section under `tag`.
-    pub fn put_interval(&mut self, tag: u32, values: &[crate::Interval]) {
-        self.put(tag, SectionElem::Interval, values);
     }
 
     fn put<T: Pod>(&mut self, tag: u32, elem: SectionElem, values: &[T]) {
@@ -302,19 +292,6 @@ impl<'a> ImageView<'a> {
         self.slab(tag, SectionElem::F64, source)
     }
 
-    /// Materializes an [`Interval`](crate::Interval) section as a slab.
-    ///
-    /// # Errors
-    ///
-    /// [`ArenaError::MissingSection`] / [`ArenaError::WrongElem`].
-    pub fn slab_interval(
-        &self,
-        tag: u32,
-        source: SlabSource<'_>,
-    ) -> Result<Slab<crate::Interval>, ArenaError> {
-        self.slab(tag, SectionElem::Interval, source)
-    }
-
     /// Copies out a small `u64` section as a plain `Vec` (meta sections).
     ///
     /// # Errors
@@ -349,39 +326,6 @@ mod tests {
             &view.slab_f64(17, SlabSource::Copy).unwrap()[..],
             &[0.5, -2.25]
         );
-    }
-
-    #[test]
-    fn interval_sections_round_trip_and_map() {
-        use crate::Interval;
-        let vals = [Interval { lo: 0.25, hi: 0.5 }, Interval::point(7.0)];
-        let mut w = ImageWriter::new();
-        w.put_interval(9, &vals);
-        let payload = w.finish();
-        let view = ImageView::parse(&payload).unwrap();
-        assert_eq!(&view.slab_interval(9, SlabSource::Copy).unwrap()[..], &vals);
-        // Elem kinds are enforced across the f64/interval boundary.
-        assert!(matches!(
-            view.slab_f64(9, SlabSource::Copy),
-            Err(ArenaError::WrongElem { tag: 9, .. })
-        ));
-
-        #[cfg(unix)]
-        {
-            use std::sync::Arc;
-            let path =
-                std::env::temp_dir().join(format!("mdl-arena-interval-{}", std::process::id()));
-            std::fs::write(&path, &payload).unwrap();
-            let region = Arc::new(Mapping::open(&path).unwrap());
-            let view = ImageView::parse(region.bytes()).unwrap();
-            let slab = view.slab_interval(9, SlabSource::Mapped(&region)).unwrap();
-            assert!(
-                slab.is_mapped(),
-                "16-byte elems borrow from 8-aligned bodies"
-            );
-            assert_eq!(&slab[..], &vals);
-            let _ = std::fs::remove_file(&path);
-        }
     }
 
     #[test]

@@ -15,9 +15,9 @@ mod sealed {
 
 /// A closed interval `[lo, hi]` of doubles — the 16-byte plain-old-data
 /// element type behind interval-weighted slabs. The arena crate only
-/// defines the storage layout (two consecutive little-endian `f64`s, so a
-/// mapped section can be reinterpreted in place); the outward-rounded
-/// arithmetic lives in `mdl-linalg`'s `Weight` machinery.
+/// defines the storage layout (two consecutive `f64`s); the
+/// outward-rounded arithmetic lives in `mdl-linalg`'s `Weight`
+/// machinery.
 #[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
@@ -205,13 +205,10 @@ impl<T: Pod> Slab<T> {
         }
     }
 
-    /// Heap bytes owned by this slab (zero when mapped — the mapping is
-    /// shared and accounted once at the store layer).
-    pub fn owned_bytes(&self) -> usize {
-        match &self.0 {
-            Repr::Owned(v) => v.len() * T::WIDTH,
-            Repr::Mapped { .. } => 0,
-        }
+    /// Size of the contents in bytes (length × element width), the same
+    /// whether the slab is owned or mapped.
+    pub fn byte_len(&self) -> usize {
+        self.len() * T::WIDTH
     }
 }
 
@@ -273,7 +270,7 @@ mod tests {
         assert_eq!(&s[..], &[1, 2, 3]);
         assert_eq!(s.len(), 3);
         assert!(!s.is_mapped());
-        assert_eq!(s.owned_bytes(), 12);
+        assert_eq!(s.byte_len(), 12);
         let t = s.clone();
         assert_eq!(s, t);
         assert_eq!(t.into_vec(), vec![1, 2, 3]);
@@ -327,7 +324,7 @@ mod tests {
         let slab = Slab::<u64>::from_mapped(&region, region.bytes()).unwrap();
         assert!(slab.is_mapped());
         assert_eq!(&slab[..], &[7, 8, 9]);
-        assert_eq!(slab.owned_bytes(), 0);
+        assert_eq!(slab.byte_len(), 24);
         // A clone shares the region; dropping the original keeps it valid.
         let keep = slab.clone();
         drop(slab);

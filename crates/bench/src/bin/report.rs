@@ -250,9 +250,9 @@ fn run_measurements(cfg: &Config) -> Vec<Metric> {
     }));
 
     // Warm-open cost: re-opening the persisted kernel for a new run.
-    // `warm_open.decode` is the classic path (read, checksum, copy every
+    // `warm_open.decode` is the copy path (read, checksum, copy every
     // slab); `warm_open.map` is the mmap(2) path (first open validates
-    // and enters the process-wide mapping cache, every open after that
+    // and enters the store's mapping cache, every open after that
     // borrows the shared region). Both rows open the same `.mdlm` file.
     let warm_dir = std::env::temp_dir().join(format!("mdl-bench-warmopen-{}", std::process::id()));
     std::fs::remove_dir_all(&warm_dir).ok();

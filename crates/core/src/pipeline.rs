@@ -45,12 +45,12 @@
 use std::sync::Arc;
 
 use mdl_ctmc::{CheckpointSink, RunReport, Solution, TransientProgress, TransientSink};
-use mdl_md::{CompiledMdMatrix, CompiledParts, Md, MdMatrix};
-use mdl_mdd::Mdd;
+use mdl_md::{CompiledMdMatrix, MdMatrix};
 use mdl_obs::Budget;
 use mdl_partition::{Partition, RefinementStats};
 use mdl_store::{
-    Artifact, ByteReader, ByteWriter, Checkpoint, Codec, Fnv1a, KernelImage, Store, StoreError,
+    Artifact, ByteReader, ByteWriter, Checkpoint, Codec, Fnv1a, KernelImage, MappedArtifact,
+    MdImage, MddImage, Store, StoreError,
 };
 
 use crate::decomp::{Combiner, DecomposableVector};
@@ -123,8 +123,22 @@ impl Pipeline {
     /// (counted on `store.invalid`) so a damaged cache heals by
     /// recomputation instead of wedging the run.
     pub(crate) fn fetch<A: Artifact>(&self, key: u64) -> Option<A> {
-        let store = self.store.as_ref()?;
-        match store.load::<A>(key) {
+        self.open_with(|store| store.load(key))
+    }
+
+    /// [`fetch`](Self::fetch) for arena images: one [`Store::map`] call,
+    /// zero-copy where mapping is supported and copy-decoding elsewhere.
+    fn fetch_image<A: MappedArtifact>(&self, key: u64) -> Option<A> {
+        self.open_with(|store| store.map(key))
+    }
+
+    /// Runs one store read; a failed read counts on `store.invalid` and
+    /// reads as a miss.
+    fn open_with<A>(
+        &self,
+        open: impl FnOnce(&Store) -> std::result::Result<Option<A>, StoreError>,
+    ) -> Option<A> {
+        match open(self.store.as_ref()?) {
             Ok(found) => found,
             Err(_) => {
                 mdl_obs::counter("store.invalid").inc();
@@ -143,8 +157,9 @@ impl Pipeline {
     }
 
     /// **Stage: build.** Produces the symbolic MRP for the model, either
-    /// from four cached artifacts (MD, reachability MDD, reward and
-    /// initial vectors) or by running `builder` and persisting its parts.
+    /// from four cached artifacts (MD and reachability MDD images, reward
+    /// and initial vectors) or by running `builder` and persisting its
+    /// parts.
     ///
     /// Vectors with a [`Combiner::Custom`] cannot be serialized, so an
     /// MRP containing one is returned uncached (and un-persisted) rather
@@ -238,15 +253,14 @@ impl Pipeline {
 
     /// **Stage: compile.** Compiles (or restores) the multiply kernel for
     /// the input MRP's matrix. Thread count is *not* part of the key:
-    /// the serialized [`CompiledParts`] are thread-independent and the
-    /// per-thread plans are rebuilt on load.
+    /// the persisted [`mdl_md::CompiledParts`] are thread-independent and
+    /// the per-thread plans are rebuilt on load.
     ///
-    /// Restore prefers the mapped kernel image ([`Store::map`], slabs
-    /// borrowed zero-copy from a shared `mmap(2)` region), then falls
-    /// back to copy-decoding the image, then to the classic
-    /// [`CompiledParts`] artifact — so concurrent workers and repeat runs
-    /// share one physical mapping while older stores keep working. A
-    /// compute persists both forms.
+    /// A compute persists the parts once, as a [`KernelImage`]. Restore
+    /// opens that image through [`Store::map`]: its slabs are borrowed
+    /// zero-copy from a `mmap(2)` region shared by every clone of the
+    /// store (and through the page cache by other processes), and are
+    /// copy-decoded only where mapping is unsupported.
     ///
     /// # Errors
     ///
@@ -260,8 +274,9 @@ impl Pipeline {
         let key = stage_key("kernel", input.key, |_| {});
         let mut span = mdl_obs::span("pipeline.stage").with("stage", "compile");
         span.trace_label("pipeline.compile");
-        if let Some((parts, source)) = self.fetch_kernel_parts(key) {
-            match CompiledMdMatrix::from_parts(parts, threads) {
+        if let Some(image) = self.fetch_image::<KernelImage>(key) {
+            let source = if image.0.is_mapped() { "map" } else { "decode" };
+            match CompiledMdMatrix::from_parts(image.into_inner(), threads) {
                 Ok(kernel) => {
                     span.record("cache", "hit");
                     span.record("source", source);
@@ -278,9 +293,7 @@ impl Pipeline {
             }
         }
         let compiled = CompiledMdMatrix::compile_budgeted(input.value.matrix(), threads, budget)?;
-        let parts = compiled.to_parts();
-        self.persist(key, &parts)?;
-        self.persist(key, &KernelImage(parts))?;
+        self.persist(key, &KernelImage(compiled.to_parts()))?;
         span.record("cache", "miss");
         span.finish();
         Ok(Staged {
@@ -288,24 +301,6 @@ impl Pipeline {
             key,
             cached: false,
         })
-    }
-
-    /// Restores compiled-kernel parts by the cheapest available path:
-    /// mapped image → copy-decoded image → classic parts artifact.
-    /// Returns the parts and a label naming the path taken (for the
-    /// stage span). Mapping errors are *not* counted invalid here — the
-    /// copy-decode fallback re-reads the same file and classifies the
-    /// failure (`store.invalid` via [`Pipeline::fetch`]) exactly once.
-    fn fetch_kernel_parts(&self, key: u64) -> Option<(CompiledParts, &'static str)> {
-        let store = self.store.as_ref()?;
-        if let Ok(Some(img)) = store.map::<KernelImage>(key) {
-            return Some((img.into_inner(), "map"));
-        }
-        if let Some(img) = self.fetch::<KernelImage>(key) {
-            return Some((img.into_inner(), "decode"));
-        }
-        self.fetch::<CompiledParts>(key)
-            .map(|parts| (parts, "classic"))
     }
 
     /// The cache key a [`SolveRequest`] run against the MRP under
@@ -481,8 +476,8 @@ impl Pipeline {
     /// validation (e.g. a vector whose shape no longer matches the MD)
     /// count as invalid and miss.
     fn fetch_mrp(&self, key: u64) -> Option<MdMrp> {
-        let md = self.fetch::<Md>(key)?;
-        let reach = self.fetch::<Mdd>(key)?;
+        let md = self.fetch_image::<MdImage>(key)?.into_inner();
+        let reach = self.fetch_image::<MddImage>(key)?.into_inner();
         let reward = self.fetch::<DecomposableVector>(sub_key(key, "reward"))?;
         let initial = self.fetch::<DecomposableVector>(sub_key(key, "initial"))?;
         let assembled = MdMatrix::new(md, reach)
@@ -505,8 +500,8 @@ impl Pipeline {
         if !serializable(mrp.reward()) || !serializable(mrp.initial()) {
             return Ok(());
         }
-        self.persist(key, mrp.matrix().md())?;
-        self.persist(key, mrp.matrix().reach())?;
+        self.persist(key, &MdImage(mrp.matrix().md().clone()))?;
+        self.persist(key, &MddImage(mrp.matrix().reach().clone()))?;
         self.persist(sub_key(key, "reward"), mrp.reward())?;
         self.persist(sub_key(key, "initial"), mrp.initial())?;
         Ok(())
@@ -714,8 +709,9 @@ fn duration_nanos(d: std::time::Duration) -> u64 {
 mod tests {
     use super::*;
     use crate::lump::LumpKind;
-    use mdl_linalg::RateMatrix;
+    use mdl_linalg::{RateMatrix, Tolerance};
     use mdl_md::{KroneckerExpr, SparseFactor};
+    use mdl_mdd::Mdd;
 
     fn cycle(size: usize, rate: f64) -> SparseFactor {
         let mut f = SparseFactor::new(size);
@@ -829,6 +825,95 @@ mod tests {
         let _ = std::fs::remove_dir_all(q.store().unwrap().root());
     }
 
+    /// A 2 × 4 model whose level-1 states 1 and 2 lump only at two
+    /// decimals: state 2 alone has a 0.001 move to state 3, so the lumped
+    /// node keeps an explicit zero-rate anchor term for that move.
+    fn anchored_mrp() -> Result<MdMrp> {
+        let mut w = SparseFactor::new(4);
+        w.push(0, 1, 1.0);
+        w.push(0, 2, 1.0);
+        w.push(1, 0, 2.0);
+        w.push(2, 0, 2.0);
+        w.push(2, 3, 0.001);
+        w.push(3, 0, 1.0);
+        let mut expr = KroneckerExpr::new(vec![2, 4]);
+        expr.add_term(1.0, vec![Some(cycle(2, 3.0)), None]);
+        expr.add_term(1.0, vec![None, Some(w)]);
+        let matrix = MdMatrix::new(expr.to_md()?, Mdd::full(vec![2, 4]).unwrap())?;
+        let reward =
+            DecomposableVector::new(vec![vec![0.0, 1.0], vec![1.0; 4]], Combiner::Product)?;
+        let initial = DecomposableVector::point_mass(&[2, 4], &[0, 0])?;
+        MdMrp::new(matrix, reward, initial)
+    }
+
+    #[test]
+    fn tolerance_lump_survives_the_store_round_trip_bit_identically() {
+        let store = temp_store("tolerance");
+        let request = LumpRequest::new(LumpKind::Ordinary).tolerance(Tolerance::Decimals(2));
+        let p = Pipeline::with_store(model_source_key("anchored"), store.clone());
+        let built = p.build(anchored_mrp).unwrap();
+        let cold = p.lump(&built, &request).unwrap();
+        assert!(!cold.cached);
+        let cold_md = cold.value.mrp.matrix().md();
+        let zero_terms = (0..cold_md.num_levels())
+            .flat_map(|l| cold_md.level_nodes(l))
+            .flat_map(|node| node.entries().to_vec())
+            .flat_map(|entry| entry.terms)
+            .filter(|t| t.coef == 0.0)
+            .count();
+        assert!(zero_terms > 0, "the lumped MD keeps a zero-rate anchor");
+
+        let q = Pipeline::with_store(model_source_key("anchored"), store.clone());
+        let rebuilt = q.build(|| panic!("must not rebuild")).unwrap();
+        let warm = q.lump(&rebuilt, &request).unwrap();
+        assert!(warm.cached);
+        // Equal images mean bit-identical level slabs.
+        let image = |md: &mdl_md::Md| MdImage(md.clone()).to_bytes();
+        assert_eq!(image(warm.value.mrp.matrix().md()), image(cold_md));
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn diagrams_and_kernels_persist_only_as_images() {
+        let store = temp_store("images");
+        let p = Pipeline::with_store(model_source_key("images"), store.clone());
+        let built = p.build(build_mrp).unwrap();
+        p.lump(&built, &LumpRequest::new(LumpKind::Ordinary))
+            .unwrap();
+        p.compile(&built, 1, &Budget::unlimited()).unwrap();
+        let names = || -> Vec<String> {
+            std::fs::read_dir(store.root())
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect()
+        };
+        let cold = names();
+        let count = |prefix: &str| cold.iter().filter(|n| n.starts_with(prefix)).count();
+        // The built and the lumped MRP each write one MD and one MDD
+        // image; the compile writes its kernel once.
+        assert_eq!(count("mdimg-"), 2, "{cold:?}");
+        assert_eq!(count("mddimg-"), 2, "{cold:?}");
+        assert_eq!(count("kernelimg-"), 1, "{cold:?}");
+        for name in &cold {
+            let is_image = ["mdimg-", "mddimg-", "kernelimg-"]
+                .iter()
+                .any(|p| name.starts_with(p));
+            assert_eq!(is_image, name.ends_with(".mdlm"), "{name}");
+        }
+
+        let q = Pipeline::with_store(model_source_key("images"), store.clone());
+        let rebuilt = q.build(|| panic!("must not rebuild")).unwrap();
+        let kernel = q.compile(&rebuilt, 1, &Budget::unlimited()).unwrap();
+        assert!(rebuilt.cached && kernel.cached);
+        if cfg!(unix) {
+            assert!(rebuilt.value.matrix().md().is_mapped());
+            assert!(rebuilt.value.matrix().reach().is_mapped());
+            assert!(kernel.value.is_mapped());
+        }
+        assert_eq!(names().len(), cold.len(), "a warm run writes nothing");
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
     #[test]
     fn different_requests_get_different_keys() {
         let p = Pipeline::new(model_source_key("m"));
@@ -867,7 +952,7 @@ mod tests {
         let built = p.build(build_mrp).unwrap();
 
         // Flip a payload byte of the MD artifact.
-        let path = store.path_for::<Md>(built.key);
+        let path = store.path_for::<MdImage>(built.key);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
@@ -907,7 +992,7 @@ mod tests {
         let a = p.build(build_custom).unwrap();
         assert!(!a.cached);
         assert!(
-            !store.contains::<Md>(a.key),
+            !store.contains::<MdImage>(a.key),
             "custom vectors must not persist"
         );
         let b = p.build(build_custom).unwrap();

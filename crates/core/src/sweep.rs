@@ -44,7 +44,7 @@ use mdl_ctmc::RunReport;
 use mdl_md::ChildId;
 use mdl_obs::Budget;
 use mdl_partition::Partition;
-use mdl_store::{Artifact, Fnv1a};
+use mdl_store::Fnv1a;
 
 use crate::lump::{LumpRequest, LumpResult};
 use crate::mrp::MdMrp;
@@ -378,7 +378,15 @@ fn level_keys(mrp: &MdMrp, request: &LumpRequest) -> Vec<u64> {
     let mut base = Fnv1a::new();
     base.write_str("sweep.part");
     request.write_cache_key(&mut base);
-    base.write_u64(Fnv1a::hash_bytes(&mrp.matrix().reach().to_bytes()));
+    // The child tables identify the set; offsets and counts derive
+    // from them.
+    let reach = mrp.matrix().reach();
+    for level in 0..reach.num_levels() {
+        base.write_usize(reach.sizes()[level]);
+        for &child in reach.raw_level_children(level) {
+            base.write_u64(child.into());
+        }
+    }
     (0..md.num_levels())
         .map(|level| {
             let mut h = base.clone();

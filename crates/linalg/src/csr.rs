@@ -61,85 +61,6 @@ impl CsrMatrix {
         }
     }
 
-    /// [`Self::from_raw_parts`] with full always-on validation, for input
-    /// that crossed a serialization boundary and cannot be trusted.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first structural
-    /// inconsistency: wrong `row_ptr` length, misaligned `col_idx`/`values`,
-    /// non-monotonic `row_ptr`, out-of-range column, or non-finite value.
-    pub fn try_from_raw_parts(
-        nrows: usize,
-        ncols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<u32>,
-        values: Vec<f64>,
-    ) -> Result<Self, String> {
-        if row_ptr.len() != nrows + 1 {
-            return Err(format!(
-                "row_ptr has length {}, expected nrows + 1 = {}",
-                row_ptr.len(),
-                nrows + 1
-            ));
-        }
-        if col_idx.len() != values.len() {
-            return Err(format!(
-                "col_idx has {} entries but values has {}",
-                col_idx.len(),
-                values.len()
-            ));
-        }
-        if row_ptr[0] != 0 {
-            return Err(format!("row_ptr must start at 0, found {}", row_ptr[0]));
-        }
-        if *row_ptr.last().unwrap() != col_idx.len() {
-            return Err(format!(
-                "row_ptr ends at {} but there are {} entries",
-                row_ptr.last().unwrap(),
-                col_idx.len()
-            ));
-        }
-        if let Some(w) = row_ptr.windows(2).find(|w| w[0] > w[1]) {
-            return Err(format!("row_ptr is not monotonic ({} > {})", w[0], w[1]));
-        }
-        if let Some((i, &c)) = col_idx
-            .iter()
-            .enumerate()
-            .find(|&(_, &c)| (c as usize) >= ncols)
-        {
-            return Err(format!(
-                "column index {c} at entry {i} is out of range for {ncols} columns"
-            ));
-        }
-        if let Some((i, &v)) = values.iter().enumerate().find(|&(_, &v)| !v.is_finite()) {
-            return Err(format!("non-finite value {v} at entry {i}"));
-        }
-        Ok(CsrMatrix {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx,
-            values,
-        })
-    }
-
-    /// The raw row-pointer array (`nrows + 1` entries). Paired with
-    /// [`Self::col_idx_raw`] / [`Self::values_raw`] for format converters.
-    pub fn row_ptr_raw(&self) -> &[usize] {
-        &self.row_ptr
-    }
-
-    /// The raw column-index array, parallel to [`Self::values_raw`].
-    pub fn col_idx_raw(&self) -> &[u32] {
-        &self.col_idx
-    }
-
-    /// The raw value array, parallel to [`Self::col_idx_raw`].
-    pub fn values_raw(&self) -> &[f64] {
-        &self.values
-    }
-
     /// Creates an empty (all-zero) matrix.
     pub fn zeros(nrows: usize, ncols: usize) -> Self {
         CsrMatrix {

@@ -24,9 +24,9 @@
 //!   parts in 2⁵² — invisible next to the rate envelopes the bounds
 //!   solver propagates, and sound.
 //!
-//! The storage layout of [`Interval`] (two consecutive little-endian
-//! doubles, 16-byte POD) lives in `mdl-arena` so interval slabs can be
-//! memory-mapped exactly like `f64` slabs; this module owns the
+//! The storage layout of [`Interval`] (two consecutive doubles, 16-byte
+//! POD) lives in `mdl-arena` so generic kernels keep interval weights in
+//! the same [`mdl_arena::Slab`]s as `f64` ones; this module owns the
 //! arithmetic.
 
 /// A closed interval of doubles, re-exported from `mdl-arena` (which owns
@@ -162,23 +162,6 @@ pub trait Weight:
     /// arithmetic. Named `rep` rather than `midpoint` to stay clear of
     /// `f64`'s inherent two-argument `midpoint`.
     fn rep(self) -> f64;
-
-    /// Appends an image section of this weight type (an `f64` or interval
-    /// section respectively) — what lets generic kernels serialize their
-    /// weight arrays without knowing the concrete scalar.
-    fn put_section(w: &mut mdl_arena::ImageWriter, tag: u32, values: &[Self]);
-
-    /// Materializes an image section of this weight type as a slab,
-    /// zero-copy when the source is a compatible mapping.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the arena's missing-section / wrong-element errors.
-    fn read_section(
-        view: &mdl_arena::ImageView<'_>,
-        tag: u32,
-        source: mdl_arena::SlabSource<'_>,
-    ) -> Result<mdl_arena::Slab<Self>, mdl_arena::ArenaError>;
 }
 
 impl Weight for f64 {
@@ -215,18 +198,6 @@ impl Weight for f64 {
     #[inline]
     fn rep(self) -> f64 {
         self
-    }
-
-    fn put_section(w: &mut mdl_arena::ImageWriter, tag: u32, values: &[f64]) {
-        w.put_f64(tag, values);
-    }
-
-    fn read_section(
-        view: &mdl_arena::ImageView<'_>,
-        tag: u32,
-        source: mdl_arena::SlabSource<'_>,
-    ) -> Result<mdl_arena::Slab<f64>, mdl_arena::ArenaError> {
-        view.slab_f64(tag, source)
     }
 }
 
@@ -277,18 +248,6 @@ impl Weight for Interval {
     #[inline]
     fn rep(self) -> f64 {
         self.lo + 0.5 * (self.hi - self.lo)
-    }
-
-    fn put_section(w: &mut mdl_arena::ImageWriter, tag: u32, values: &[Interval]) {
-        w.put_interval(tag, values);
-    }
-
-    fn read_section(
-        view: &mdl_arena::ImageView<'_>,
-        tag: u32,
-        source: mdl_arena::SlabSource<'_>,
-    ) -> Result<mdl_arena::Slab<Interval>, mdl_arena::ArenaError> {
-        view.slab_interval(tag, source)
     }
 }
 

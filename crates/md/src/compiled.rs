@@ -178,7 +178,9 @@ impl<W: Weight> CompiledParts<W> {
             || self.leaf_cols.is_mapped()
             || self.leaf_coefs.is_mapped()
     }
+}
 
+impl CompiledParts {
     /// Serializes the kernel into arena image sections: tag 1 holds
     /// `[num_states, triples_visited, triples_compiled]`; tags `16..=23`
     /// hold the eight arrays in declaration order.
@@ -189,12 +191,12 @@ impl<W: Weight> CompiledParts<W> {
         );
         w.put_u64(TAG_KERNEL_ARRAYS, &self.block_row_bases);
         w.put_u64(TAG_KERNEL_ARRAYS + 1, &self.block_col_bases);
-        W::put_section(w, TAG_KERNEL_ARRAYS + 2, &self.block_scales);
+        w.put_f64(TAG_KERNEL_ARRAYS + 2, &self.block_scales);
         w.put_u32(TAG_KERNEL_ARRAYS + 3, &self.block_leafs);
         w.put_u32(TAG_KERNEL_ARRAYS + 4, &self.leaf_bounds);
         w.put_u32(TAG_KERNEL_ARRAYS + 5, &self.leaf_rows);
         w.put_u32(TAG_KERNEL_ARRAYS + 6, &self.leaf_cols);
-        W::put_section(w, TAG_KERNEL_ARRAYS + 7, &self.leaf_coefs);
+        w.put_f64(TAG_KERNEL_ARRAYS + 7, &self.leaf_coefs);
     }
 
     /// Rebuilds kernel parts from sections written by
@@ -221,12 +223,12 @@ impl<W: Weight> CompiledParts<W> {
             num_states,
             block_row_bases: view.slab_u64(TAG_KERNEL_ARRAYS, source).map_err(img)?,
             block_col_bases: view.slab_u64(TAG_KERNEL_ARRAYS + 1, source).map_err(img)?,
-            block_scales: W::read_section(view, TAG_KERNEL_ARRAYS + 2, source).map_err(img)?,
+            block_scales: view.slab_f64(TAG_KERNEL_ARRAYS + 2, source).map_err(img)?,
             block_leafs: view.slab_u32(TAG_KERNEL_ARRAYS + 3, source).map_err(img)?,
             leaf_bounds: view.slab_u32(TAG_KERNEL_ARRAYS + 4, source).map_err(img)?,
             leaf_rows: view.slab_u32(TAG_KERNEL_ARRAYS + 5, source).map_err(img)?,
             leaf_cols: view.slab_u32(TAG_KERNEL_ARRAYS + 6, source).map_err(img)?,
-            leaf_coefs: W::read_section(view, TAG_KERNEL_ARRAYS + 7, source).map_err(img)?,
+            leaf_coefs: view.slab_f64(TAG_KERNEL_ARRAYS + 7, source).map_err(img)?,
             triples_visited,
             triples_compiled,
         })
@@ -801,19 +803,18 @@ impl<W: Weight> CompiledMdMatrix<W> {
         self.threads
     }
 
-    /// Memory owned by the compiled program in bytes (blocks, arenas and
-    /// schedules). Mapped slabs count zero — their pages are shared and
-    /// accounted once at the store layer.
+    /// Size of the compiled program in bytes (blocks, arenas and
+    /// schedules), the same whether its slabs are owned or mapped.
     pub fn memory_bytes(&self) -> usize {
         let p = &self.parts;
-        p.block_row_bases.owned_bytes()
-            + p.block_col_bases.owned_bytes()
-            + p.block_scales.owned_bytes()
-            + p.block_leafs.owned_bytes()
-            + p.leaf_bounds.owned_bytes()
-            + p.leaf_rows.owned_bytes()
-            + p.leaf_cols.owned_bytes()
-            + p.leaf_coefs.owned_bytes()
+        p.block_row_bases.byte_len()
+            + p.block_col_bases.byte_len()
+            + p.block_scales.byte_len()
+            + p.block_leafs.byte_len()
+            + p.leaf_bounds.byte_len()
+            + p.leaf_rows.byte_len()
+            + p.leaf_cols.byte_len()
+            + p.leaf_coefs.byte_len()
             + (self.row_plan.order.len() + self.col_plan.order.len()) * 4
     }
 
@@ -1663,17 +1664,10 @@ mod tests {
     }
 
     #[test]
-    fn interval_kernel_image_round_trips() {
+    fn interval_kernel_parts_round_trip() {
         let m = full_matrix();
         let ci = compile_point_interval(&m, 1);
-        let parts = ci.to_parts();
-        let mut w = ImageWriter::new();
-        parts.write_image(&mut w);
-        let payload = w.finish();
-        let view = ImageView::parse(&payload).expect("image parses");
-        let back = CompiledParts::<Interval>::read_image(&view, SlabSource::Copy).expect("reads");
-        assert_eq!(back, parts);
-        let rebuilt = CompiledMdMatrix::from_parts(back, 1).expect("parts validate");
+        let rebuilt = CompiledMdMatrix::from_parts(ci.to_parts(), 1).expect("parts validate");
         let n = m.num_states();
         let f = probe(n);
         let (mut a, mut b) = (vec![0.0; n], vec![0.0; n]);

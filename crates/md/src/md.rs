@@ -244,10 +244,6 @@ impl MdLevel {
         self.entry_bounds.len().saturating_sub(1)
     }
 
-    fn num_entries(&self) -> usize {
-        self.entry_rows.len()
-    }
-
     fn entry_range(&self, node: usize) -> Range<usize> {
         self.entry_bounds[node] as usize..self.entry_bounds[node + 1] as usize
     }
@@ -296,13 +292,13 @@ impl MdLevel {
         }
     }
 
-    fn owned_bytes(&self) -> usize {
-        self.entry_bounds.owned_bytes()
-            + self.entry_rows.owned_bytes()
-            + self.entry_cols.owned_bytes()
-            + self.term_bounds.owned_bytes()
-            + self.term_coefs.owned_bytes()
-            + self.term_children.owned_bytes()
+    fn byte_len(&self) -> usize {
+        self.entry_bounds.byte_len()
+            + self.entry_rows.byte_len()
+            + self.entry_cols.byte_len()
+            + self.term_bounds.byte_len()
+            + self.term_coefs.byte_len()
+            + self.term_children.byte_len()
     }
 
     fn is_mapped(&self) -> bool {
@@ -463,36 +459,6 @@ impl Md {
         Md { sizes, levels }
     }
 
-    /// Assembles an MD directly from per-level node lists, validating the
-    /// full shape — sizes and levels must align, the root level must hold
-    /// at least one node, and every entry/child reference must be in range.
-    /// Intended for format converters (deserialization); normal
-    /// construction goes through [`MdBuilder`](crate::MdBuilder).
-    ///
-    /// # Errors
-    ///
-    /// * [`MdError::InvalidShape`] if `sizes` is empty, contains a zero, or
-    ///   does not match `levels` in length, or level 0 is empty;
-    /// * [`MdError::IndexOutOfBounds`] / [`MdError::BadChild`] /
-    ///   [`MdError::InvalidCoefficient`] for invalid node content.
-    pub fn from_levels(sizes: Vec<usize>, levels: Vec<Vec<MdNode>>) -> Result<Md> {
-        if sizes.is_empty() || sizes.contains(&0) || sizes.len() != levels.len() {
-            return Err(MdError::InvalidShape);
-        }
-        if levels[0].is_empty() {
-            return Err(MdError::InvalidShape);
-        }
-        let num_levels = sizes.len();
-        for (level, nodes) in levels.iter().enumerate() {
-            let last = level == num_levels - 1;
-            let next_count = if last { 0 } else { levels[level + 1].len() };
-            for node in nodes {
-                validate_node(node, level, sizes[level], last, next_count)?;
-            }
-        }
-        Ok(Md::pack(sizes, levels))
-    }
-
     /// Number of levels `L`.
     pub fn num_levels(&self) -> usize {
         self.sizes.len()
@@ -582,10 +548,10 @@ impl Md {
     }
 
     /// Approximate memory footprint in bytes (the paper's "MD space"
-    /// column of Table 1): heap owned by this MD. Mapped slabs count zero
-    /// here — their pages are shared and accounted once at the store layer.
+    /// column of Table 1): the size of the level slabs, the same whether
+    /// they are owned or borrowed from a mapped artifact.
     pub fn memory_bytes(&self) -> usize {
-        self.levels.iter().map(MdLevel::owned_bytes).sum()
+        self.levels.iter().map(MdLevel::byte_len).sum()
     }
 
     /// `true` when any level borrows its slabs from a mapped artifact.
@@ -755,11 +721,14 @@ impl Md {
     /// borrow the mapped region zero-copy (falling back to copies on
     /// non-little-endian or misaligned layouts).
     ///
-    /// Structure — bounds monotonicity, entry positions, child references —
-    /// is re-validated by a linear scan (a corrupt offset would otherwise
-    /// panic far from the cause); coefficient values and the canonical
-    /// entry/term ordering are trusted: the store checksums the payload
-    /// before handing it here, and the writer emitted canonical slabs.
+    /// Everything is re-validated by a linear scan, so a corrupt image is
+    /// an error here rather than a panic far from the cause: bounds
+    /// monotonicity, entry positions, child references, finite
+    /// coefficients, and the canonical order — entries strictly by
+    /// `(row, col)` within a node, terms strictly by child within an
+    /// entry, no empty formal sum. Zero coefficients are accepted:
+    /// tolerance lumps keep them as rate-envelope anchors
+    /// ([`MdNode::new_keeping_zeros`]).
     ///
     /// # Errors
     ///
@@ -791,34 +760,8 @@ impl Md {
             return Err(MdError::InvalidShape);
         }
         for l in 0..num_levels {
-            let last = l == num_levels - 1;
-            let size = sizes[l] as u32;
-            let next_count = if last {
-                0
-            } else {
-                levels[l + 1].num_nodes() as u32
-            };
-            let lv = &levels[l];
-            for e in 0..lv.num_entries() {
-                if lv.entry_rows[e] >= size || lv.entry_cols[e] >= size {
-                    return Err(MdError::Image(format!(
-                        "level {l}: entry {e} position ({}, {}) exceeds local space of size {size}",
-                        lv.entry_rows[e], lv.entry_cols[e]
-                    )));
-                }
-            }
-            for (k, &c) in lv.term_children.iter().enumerate() {
-                let ok = if last {
-                    c == TERMINAL_CHILD
-                } else {
-                    c != TERMINAL_CHILD && c < next_count
-                };
-                if !ok {
-                    return Err(MdError::Image(format!(
-                        "level {l}: term {k} has invalid child reference {c}"
-                    )));
-                }
-            }
+            let next_count = levels.get(l + 1).map(MdLevel::num_nodes);
+            validate_level_content(l, &levels[l], sizes[l], next_count)?;
         }
         Ok(Md { sizes, levels })
     }
@@ -860,6 +803,60 @@ fn validate_level_bounds(l: usize, lv: &MdLevel) -> Result<()> {
             terms,
             lv.term_children.len()
         ));
+    }
+    Ok(())
+}
+
+/// Checks one decoded level's content against the canonical form every
+/// [`MdNode`] constructor maintains. `next_count` is the node count of
+/// the level below, `None` at the last level (whose terms must all
+/// reference the terminal).
+fn validate_level_content(
+    l: usize,
+    lv: &MdLevel,
+    size: usize,
+    next_count: Option<usize>,
+) -> Result<()> {
+    let err = |detail: String| Err(MdError::Image(format!("level {l}: {detail}")));
+    for node in 0..lv.num_nodes() {
+        let mut prev_pos = None;
+        for e in lv.entry_range(node) {
+            let pos = (lv.entry_rows[e], lv.entry_cols[e]);
+            if pos.0 as usize >= size || pos.1 as usize >= size {
+                return err(format!(
+                    "entry {e} position {pos:?} exceeds local space of size {size}"
+                ));
+            }
+            if prev_pos.is_some_and(|prev| prev >= pos) {
+                return err(format!(
+                    "node {node}: entry {e} at {pos:?} breaks the (row, col) order"
+                ));
+            }
+            prev_pos = Some(pos);
+            if lv.term_range(e).is_empty() {
+                return err(format!("entry {e} has an empty formal sum"));
+            }
+            let mut prev_child = None;
+            for k in lv.term_range(e) {
+                let (coef, child) = (lv.term_coefs[k], lv.term_children[k]);
+                let valid = match next_count {
+                    None => child == TERMINAL_CHILD,
+                    Some(n) => child != TERMINAL_CHILD && (child as usize) < n,
+                };
+                if !valid {
+                    return err(format!("term {k} has invalid child reference {child}"));
+                }
+                if !coef.is_finite() {
+                    return err(format!("term {k} has non-finite coefficient {coef}"));
+                }
+                if prev_child.is_some_and(|prev| prev >= child) {
+                    return err(format!(
+                        "entry {e}: term {k} child {child} breaks the child order"
+                    ));
+                }
+                prev_child = Some(child);
+            }
+        }
     }
     Ok(())
 }
@@ -1051,64 +1048,170 @@ mod tests {
         let payload = w.finish();
         let view = ImageView::parse(&payload).unwrap();
         let back = Md::read_image(&view, SlabSource::Copy).unwrap();
+        // An untampered re-emit is the same image, so the rejections
+        // below are down to their edits alone.
+        let reemitted = read_tampered(&md, |_, _| {}).unwrap();
         assert_eq!(back.sizes(), md.sizes());
         assert_eq!(back.nodes_per_level(), md.nodes_per_level());
         for l in 0..md.num_levels() {
             assert_eq!(back.level_nodes(l), md.level_nodes(l));
+            assert_eq!(reemitted.level_nodes(l), md.level_nodes(l));
+        }
+    }
+
+    /// The six slab arrays of one MD level, as plain vectors.
+    struct LevelArrays {
+        entry_bounds: Vec<u32>,
+        entry_rows: Vec<u32>,
+        entry_cols: Vec<u32>,
+        term_bounds: Vec<u32>,
+        term_coefs: Vec<f64>,
+        term_children: Vec<u32>,
+    }
+
+    /// Re-emits the image of `md` with `edit` applied to each level's
+    /// arrays, and reads it back.
+    fn read_tampered(md: &Md, edit: impl Fn(usize, &mut LevelArrays)) -> Result<Md> {
+        let mut w = ImageWriter::new();
+        let sizes: Vec<u64> = md.sizes().iter().map(|&s| s as u64).collect();
+        w.put_u64(TAG_SIZES, &sizes);
+        for (l, level) in md.levels.iter().enumerate() {
+            let mut a = LevelArrays {
+                entry_bounds: level.entry_bounds.to_vec(),
+                entry_rows: level.entry_rows.to_vec(),
+                entry_cols: level.entry_cols.to_vec(),
+                term_bounds: level.term_bounds.to_vec(),
+                term_coefs: level.term_coefs.to_vec(),
+                term_children: level.term_children.to_vec(),
+            };
+            edit(l, &mut a);
+            let base = level_tag(l);
+            w.put_u32(base, &a.entry_bounds);
+            w.put_u32(base + 1, &a.entry_rows);
+            w.put_u32(base + 2, &a.entry_cols);
+            w.put_u32(base + 3, &a.term_bounds);
+            w.put_f64(base + 4, &a.term_coefs);
+            w.put_u32(base + 5, &a.term_children);
+        }
+        let payload = w.finish();
+        Md::read_image(&ImageView::parse(&payload).unwrap(), SlabSource::Copy)
+    }
+
+    fn assert_image_error(result: Result<Md>, what: &str) {
+        match result {
+            Err(MdError::Image(_)) => {}
+            Err(other) => panic!("{what}: expected an image error, got {other:?}"),
+            Ok(_) => panic!("{what}: tampered image was accepted"),
         }
     }
 
     #[test]
     fn image_with_corrupt_child_is_rejected() {
         let md = two_level_md();
-        // Re-emit the image with the root level's term children pointing
-        // past the bottom level.
-        let mut w = ImageWriter::new();
-        let sizes: Vec<u64> = md.sizes().iter().map(|&s| s as u64).collect();
-        w.put_u64(TAG_SIZES, &sizes);
-        for (l, level) in md.levels.iter().enumerate() {
-            let base = level_tag(l);
-            w.put_u32(base, &level.entry_bounds);
-            w.put_u32(base + 1, &level.entry_rows);
-            w.put_u32(base + 2, &level.entry_cols);
-            w.put_u32(base + 3, &level.term_bounds);
-            w.put_f64(base + 4, &level.term_coefs);
-            let mut children: Vec<u32> = level.term_children.to_vec();
+        // The root level's first term points past the bottom level.
+        let bad = read_tampered(&md, |l, a| {
             if l == 0 {
-                children[0] = 97; // no such bottom node
+                a.term_children[0] = 97;
             }
-            w.put_u32(base + 5, &children);
-        }
-        let payload = w.finish();
-        let view = ImageView::parse(&payload).unwrap();
-        let err = Md::read_image(&view, SlabSource::Copy).unwrap_err();
-        assert!(matches!(err, MdError::Image(_)), "got {err:?}");
+        });
+        assert_image_error(bad, "dangling child");
     }
 
     #[test]
     fn image_with_broken_bounds_is_rejected() {
         let md = two_level_md();
-        let mut w = ImageWriter::new();
-        let sizes: Vec<u64> = md.sizes().iter().map(|&s| s as u64).collect();
-        w.put_u64(TAG_SIZES, &sizes);
-        for (l, level) in md.levels.iter().enumerate() {
-            let base = level_tag(l);
-            let mut bounds: Vec<u32> = level.entry_bounds.to_vec();
+        let bad = read_tampered(&md, |l, a| {
             if l == 1 {
-                let n = bounds.len();
-                bounds[n - 1] += 7; // points past the entry arena
+                *a.entry_bounds.last_mut().unwrap() += 7; // past the entry arena
             }
-            w.put_u32(base, &bounds);
-            w.put_u32(base + 1, &level.entry_rows);
-            w.put_u32(base + 2, &level.entry_cols);
-            w.put_u32(base + 3, &level.term_bounds);
-            w.put_f64(base + 4, &level.term_coefs);
-            w.put_u32(base + 5, &level.term_children);
+        });
+        assert_image_error(bad, "entry bounds overrun");
+    }
+
+    #[test]
+    fn image_with_non_finite_coefficient_is_rejected() {
+        let md = two_level_md();
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let bad = read_tampered(&md, |l, a| {
+                if l == 1 {
+                    a.term_coefs[0] = value;
+                }
+            });
+            assert_image_error(bad, &format!("coefficient {value}"));
         }
-        let payload = w.finish();
-        let view = ImageView::parse(&payload).unwrap();
-        let err = Md::read_image(&view, SlabSource::Copy).unwrap_err();
-        assert!(matches!(err, MdError::Image(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn image_with_zero_coefficient_is_accepted() {
+        // Tolerance lumps store explicit zero-rate anchor terms; the image
+        // path must keep them, bit for bit.
+        let md = two_level_md();
+        let back = read_tampered(&md, |l, a| {
+            if l == 1 {
+                a.term_coefs[0] = 0.0;
+            }
+        })
+        .unwrap();
+        assert_eq!(back.levels[1].term_coefs[0].to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            back.levels[1].term_coefs.len(),
+            md.levels[1].term_coefs.len()
+        );
+    }
+
+    #[test]
+    fn image_with_unordered_entries_is_rejected() {
+        let md = two_level_md();
+        // Swap the bottom node's entries (0, 1) and (2, 0).
+        let bad = read_tampered(&md, |l, a| {
+            if l == 1 {
+                a.entry_rows.swap(0, 1);
+                a.entry_cols.swap(0, 1);
+            }
+        });
+        assert_image_error(bad, "entries out of (row, col) order");
+        // A repeated position is no better than a swapped one.
+        let bad = read_tampered(&md, |l, a| {
+            if l == 1 {
+                a.entry_rows[1] = a.entry_rows[0];
+                a.entry_cols[1] = a.entry_cols[0];
+            }
+        });
+        assert_image_error(bad, "duplicate entry position");
+    }
+
+    #[test]
+    fn image_with_unordered_terms_is_rejected() {
+        let md = two_level_md();
+        // The root's second entry sums two children in ascending order.
+        let bad = read_tampered(&md, |l, a| {
+            if l == 0 {
+                a.term_children.swap(1, 2);
+            }
+        });
+        assert_image_error(bad, "terms out of child order");
+        let bad = read_tampered(&md, |l, a| {
+            if l == 0 {
+                a.term_children[2] = a.term_children[1];
+            }
+        });
+        assert_image_error(bad, "duplicate child in a formal sum");
+    }
+
+    #[test]
+    fn image_with_empty_formal_sum_is_rejected() {
+        let md = two_level_md();
+        let bad = read_tampered(&md, |l, a| {
+            if l == 1 {
+                // Drop the first entry's only term.
+                for b in a.term_bounds.iter_mut().skip(1) {
+                    *b -= 1;
+                }
+                a.term_coefs.remove(0);
+                a.term_children.remove(0);
+            }
+        });
+        assert_image_error(bad, "empty formal sum");
     }
 
     #[test]

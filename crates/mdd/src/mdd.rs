@@ -115,7 +115,7 @@ pub enum MddError {
     /// `sizes` was empty or contained a zero.
     InvalidShape,
     /// A raw child slot held an invalid reference (see
-    /// [`Mdd::from_raw_levels`]).
+    /// [`Mdd::read_image`]).
     InvalidChild {
         /// Level of the offending node (0-based).
         level: usize,
@@ -280,74 +280,6 @@ impl Mdd {
     /// Sentinel in level child tables: the slot reaches the accepting
     /// terminal (valid at the last level only).
     pub const RAW_TERMINAL: u32 = TERMINAL;
-
-    /// Rebuilds an MDD from flat per-level child tables (the layout of
-    /// [`Mdd::raw_level_children`]), validating every reference and
-    /// recomputing counts, offsets and the total — intended for format
-    /// converters (deserialization); normal construction goes through
-    /// [`Mdd::from_tuples`].
-    ///
-    /// # Errors
-    ///
-    /// * [`MddError::InvalidShape`] if `sizes` is empty/zero, level counts
-    ///   mismatch, a level's row is not a multiple of its size, or the
-    ///   root level does not hold exactly one node;
-    /// * [`MddError::InvalidChild`] for a slot holding `RAW_TERMINAL` above
-    ///   the last level or an out-of-range node index.
-    pub fn from_raw_levels(sizes: Vec<usize>, children: Vec<Vec<u32>>) -> Result<Mdd, MddError> {
-        if sizes.is_empty() || sizes.contains(&0) || sizes.len() != children.len() {
-            return Err(MddError::InvalidShape);
-        }
-        let num_levels = sizes.len();
-        for (level, row) in children.iter().enumerate() {
-            let size = sizes[level];
-            if row.len() % size != 0 {
-                return Err(MddError::InvalidShape);
-            }
-            // Inner levels may be empty (the empty-set MDD keeps only its
-            // root); the root level must hold exactly one node.
-            if level == 0 && row.len() / size != 1 {
-                return Err(MddError::InvalidShape);
-            }
-        }
-        for level in 0..num_levels {
-            let last = level == num_levels - 1;
-            let size = sizes[level];
-            let next_count = if last {
-                0
-            } else {
-                children[level + 1].len() / sizes[level + 1]
-            };
-            for (flat, &c) in children[level].iter().enumerate() {
-                let ok = c == NO_CHILD
-                    || (last && c == TERMINAL)
-                    || (!last && c != TERMINAL && (c as usize) < next_count);
-                if !ok {
-                    return Err(MddError::InvalidChild {
-                        level,
-                        node: flat / size,
-                        slot: flat % size,
-                    });
-                }
-            }
-        }
-        let mut levels: Vec<MddLevel> = sizes
-            .iter()
-            .zip(children)
-            .map(|(&size, row)| MddLevel {
-                size,
-                children: row.into(),
-                offsets: Slab::new(),
-                counts: Slab::new(),
-            })
-            .collect();
-        let total = relabel(&mut levels);
-        Ok(Mdd {
-            sizes,
-            levels,
-            total,
-        })
-    }
 
     /// Raw child slot — `pub(crate)` workhorse of the set operations and
     /// quotienting.
@@ -557,13 +489,13 @@ impl Mdd {
         out
     }
 
-    /// Approximate memory footprint in bytes: heap owned by this MDD.
-    /// Mapped slabs count zero here — their pages are shared and accounted
-    /// once at the store layer.
+    /// Approximate memory footprint in bytes: the size of the level
+    /// slabs, the same whether they are owned or borrowed from a mapped
+    /// artifact.
     pub fn memory_bytes(&self) -> usize {
         self.levels
             .iter()
-            .map(|l| l.children.owned_bytes() + l.offsets.owned_bytes() + l.counts.owned_bytes())
+            .map(|l| l.children.byte_len() + l.offsets.byte_len() + l.counts.byte_len())
             .sum()
     }
 
@@ -592,17 +524,19 @@ impl Mdd {
     /// borrow the mapped region zero-copy (falling back to copies on
     /// non-little-endian or misaligned layouts).
     ///
-    /// Child references are re-validated by a linear scan (a corrupt slot
-    /// would otherwise panic far from the cause); the count/offset
-    /// labelling is trusted — the store checksums the payload before
-    /// handing it here, and both labels are deterministic functions of the
-    /// children the writer computed with the same code.
+    /// Everything is re-validated by a linear scan, so a corrupt image is
+    /// an error here rather than a panic far from the cause: every child
+    /// reference, and the count/offset labelling, which must equal the
+    /// one recomputed from the children bottom-up.
     ///
     /// # Errors
     ///
-    /// [`MddError::Image`] on missing/mistyped sections or inconsistent
-    /// section lengths; [`MddError::InvalidChild`] /
-    /// [`MddError::InvalidShape`] as in [`Mdd::from_raw_levels`].
+    /// * [`MddError::Image`] on missing/mistyped sections, inconsistent
+    ///   section lengths, or a labelling that disagrees with the children;
+    /// * [`MddError::InvalidShape`] if the sizes are empty or zero, or the
+    ///   root level does not hold exactly one node;
+    /// * [`MddError::InvalidChild`] for a slot holding the terminal above
+    ///   the last level or an out-of-range node index.
     pub fn read_image(view: &ImageView<'_>, source: SlabSource<'_>) -> Result<Mdd, MddError> {
         let img = |e: mdl_arena::ArenaError| MddError::Image(e.to_string());
         let sizes_u64 = view.vec_u64(TAG_SIZES).map_err(img)?;
@@ -659,6 +593,7 @@ impl Mdd {
                 }
             }
         }
+        check_labels(&levels)?;
         let total = levels[0].counts[0];
         Ok(Mdd {
             sizes,
@@ -666,6 +601,41 @@ impl Mdd {
             total,
         })
     }
+}
+
+/// Checks that the count/offset labelling of `levels` equals the one
+/// [`relabel`] would compute from the children tables, bottom-up.
+/// Child references must already be validated.
+fn check_labels(levels: &[MddLevel]) -> Result<(), MddError> {
+    for (l, lv) in levels.iter().enumerate().rev() {
+        let lower_counts = levels.get(l + 1).map(|lower| &lower.counts[..]);
+        for node in 0..lv.num_nodes() {
+            let (children, offsets) = (lv.children_of(node), lv.offsets_of(node));
+            let mut acc = 0u64;
+            for (s, (&c, &offset)) in children.iter().zip(offsets).enumerate() {
+                if offset != acc {
+                    return Err(MddError::Image(format!(
+                        "level {l}: node {node} offset {s} is {offset}, the children give {acc}"
+                    )));
+                }
+                let below = match c {
+                    NO_CHILD => 0,
+                    TERMINAL => 1,
+                    c => lower_counts.map_or(0, |counts| counts[c as usize]),
+                };
+                acc = acc.checked_add(below).ok_or_else(|| {
+                    MddError::Image(format!("level {l}: node {node} count overflows u64"))
+                })?;
+            }
+            if lv.counts[node] != acc {
+                return Err(MddError::Image(format!(
+                    "level {l}: node {node} count is {}, the children give {acc}",
+                    lv.counts[node]
+                )));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -791,6 +761,12 @@ mod tests {
         assert_eq!(back.sizes(), m.sizes());
         assert_eq!(back.count(), m.count());
         assert_eq!(back.tuples(), m.tuples());
+        // An untampered re-emit is the same image, so the rejections
+        // below are down to their edits alone.
+        assert_eq!(
+            read_tampered(&m, |_, _, _, _| {}).unwrap().tuples(),
+            m.tuples()
+        );
         for l in 0..m.num_levels() {
             assert_eq!(back.raw_level_children(l), m.raw_level_children(l));
             assert_eq!(&back.levels[l].offsets[..], &m.levels[l].offsets[..]);
@@ -798,30 +774,86 @@ mod tests {
         }
     }
 
+    /// Re-emits the image of `m` with `edit` applied to each level's
+    /// `(children, offsets, counts)` arrays, and reads it back.
+    fn read_tampered(
+        m: &Mdd,
+        edit: impl Fn(usize, &mut Vec<u32>, &mut Vec<u64>, &mut Vec<u64>),
+    ) -> Result<Mdd, MddError> {
+        let mut w = ImageWriter::new();
+        let sizes: Vec<u64> = m.sizes().iter().map(|&s| s as u64).collect();
+        w.put_u64(TAG_SIZES, &sizes);
+        for (l, level) in m.levels.iter().enumerate() {
+            let mut children = level.children.to_vec();
+            let mut offsets = level.offsets.to_vec();
+            let mut counts = level.counts.to_vec();
+            edit(l, &mut children, &mut offsets, &mut counts);
+            let base = level_tag(l);
+            w.put_u32(base, &children);
+            w.put_u64(base + 1, &offsets);
+            w.put_u64(base + 2, &counts);
+        }
+        let payload = w.finish();
+        Mdd::read_image(&ImageView::parse(&payload).unwrap(), SlabSource::Copy)
+    }
+
+    /// The full 2 × 2 product: one node per level, root offsets `[0, 2]`.
+    fn full_2x2() -> Mdd {
+        Mdd::from_tuples(
+            vec![2, 2],
+            vec![vec![0, 0], vec![0, 1], vec![1, 0], vec![1, 1]],
+        )
+        .unwrap()
+    }
+
     #[test]
     fn image_with_corrupt_child_is_rejected() {
         let m = Mdd::from_tuples(vec![2, 2], vec![vec![0, 0], vec![1, 1]]).unwrap();
-        let mut w = ImageWriter::new();
-        m.write_image(&mut w);
-        let payload = w.finish();
-        // Rewrite the level-1 children section to hold a bogus index by
-        // round-tripping through raw levels instead of poking bytes: poke
-        // the payload where the first level-0 child lives is brittle, so
-        // decode, corrupt, re-encode via from_raw_levels and expect the
-        // validation path to fire there too.
-        let view = ImageView::parse(&payload).unwrap();
-        let ok = Mdd::read_image(&view, SlabSource::Copy).unwrap();
-        let mut raw: Vec<Vec<u32>> = (0..ok.num_levels())
-            .map(|l| ok.raw_level_children(l).to_vec())
-            .collect();
-        raw[0][0] = 7; // points past level 1's two nodes
-        assert!(matches!(
-            Mdd::from_raw_levels(vec![2, 2], raw),
-            Err(MddError::InvalidChild {
-                level: 0,
-                node: 0,
-                slot: 0
-            })
-        ));
+        let bad = read_tampered(&m, |l, children, _, _| {
+            if l == 0 {
+                children[0] = 7; // points past level 1's nodes
+            }
+        });
+        assert!(
+            matches!(
+                bad,
+                Err(MddError::InvalidChild {
+                    level: 0,
+                    node: 0,
+                    slot: 0
+                })
+            ),
+            "{bad:?}"
+        );
+    }
+
+    #[test]
+    fn image_with_wrong_offsets_is_rejected() {
+        // Root offsets [0, 3] instead of [0, 2] would rank a tuple past the
+        // end of the set (and send `tuple_at` off the counted range).
+        let m = full_2x2();
+        let bad = read_tampered(&m, |l, _, offsets, _| {
+            if l == 0 {
+                assert_eq!(offsets, &[0, 2]);
+                offsets[1] = 3;
+            }
+        });
+        assert!(matches!(bad, Err(MddError::Image(_))), "{bad:?}");
+    }
+
+    #[test]
+    fn image_with_wrong_counts_is_rejected() {
+        let m = full_2x2();
+        for level in 0..2 {
+            let bad = read_tampered(&m, |l, _, _, counts| {
+                if l == level {
+                    counts[0] += 1;
+                }
+            });
+            assert!(
+                matches!(bad, Err(MddError::Image(_))),
+                "level {level}: {bad:?}"
+            );
+        }
     }
 }

@@ -354,8 +354,8 @@ fn solve_lumped(
     }
 
     // Kernel: in-memory cache first (shared across requests), then the
-    // store (mapped kernel image preferred — concurrent workers share
-    // one mmap(2) region through the process-wide mapping cache), then
+    // store (a mapped kernel image — concurrent workers share one
+    // mmap(2) region through the daemon store's mapping cache), then
     // a fresh compile. A compile failure under the fallback ladder is
     // survivable — the walk/flat-CSR rungs need no kernel.
     let cached_kernel = recover(&shared.kernels).get(&lumped_mrp.key).cloned();

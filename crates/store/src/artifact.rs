@@ -60,19 +60,6 @@ pub trait Codec: Sized {
     /// Reads the payload. Implementations must validate what they read
     /// (the container only guarantees the bytes are the ones written).
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError>;
-
-    /// Post-decode structural check, run by [`Artifact::from_bytes`]
-    /// after [`Codec::decode`] succeeds. Kinds whose decoder already
-    /// feeds a validating constructor keep the default no-op; kinds that
-    /// decode raw arrays (e.g. compiled-kernel parts) verify their
-    /// cross-array invariants here.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupted`] describing the violated invariant.
-    fn validate(&self) -> Result<(), StoreError> {
-        Ok(())
-    }
 }
 
 /// The container layer over a [`Codec`]: serialization into and out of
@@ -108,61 +95,9 @@ pub trait Artifact: Codec {
     ///
     /// Any [`StoreError`]; see the [module docs](self) for the checks.
     fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        let mut r = ByteReader::new(bytes);
-        let magic = r.bytes(4)?;
-        if magic != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let version = r.u16()?;
-        if version > FORMAT_VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        // Version 0 never existed; rejecting it means *every* single-byte
-        // corruption of the frame is detectable (a flipped version byte
-        // cannot masquerade as an older, laxer format).
-        if version == 0 {
-            return Err(StoreError::corrupted("format version 0 is invalid"));
-        }
-        let kind = r.u16()?;
-        if kind != Self::KIND {
-            return Err(StoreError::WrongKind {
-                found: kind,
-                expected: Self::KIND,
-            });
-        }
-        let payload_len = r.usize()?;
-        match r.remaining().checked_sub(TRAILER_LEN) {
-            Some(have) if have == payload_len => {}
-            Some(have) if have < payload_len => {
-                return Err(StoreError::Truncated {
-                    needed: payload_len + TRAILER_LEN,
-                    available: r.remaining(),
-                })
-            }
-            Some(_) => {
-                return Err(StoreError::corrupted(
-                    "container longer than header + payload + checksum",
-                ))
-            }
-            None => {
-                return Err(StoreError::Truncated {
-                    needed: payload_len + TRAILER_LEN,
-                    available: r.remaining(),
-                })
-            }
-        }
-        let payload = r.bytes(payload_len)?;
-        let stored = r.u64()?;
-        if Fnv1a::hash_bytes(payload) != stored {
-            return Err(StoreError::ChecksumMismatch);
-        }
-        let mut pr = ByteReader::new(payload);
-        let artifact = Self::decode(&mut pr)?;
-        pr.expect_end()?;
-        artifact.validate()?;
+        let mut r = ByteReader::new(validate_frame(bytes, Self::KIND)?);
+        let artifact = Self::decode(&mut r)?;
+        r.expect_end()?;
         Ok(artifact)
     }
 }
@@ -173,9 +108,9 @@ impl<T: Codec> Artifact for T {}
 /// payload: magic, version, kind, length accounting and the FNV-1a
 /// payload checksum. Returns the payload slice on success.
 ///
-/// This is the read path of [`crate::Store::map`]: a mapped artifact is
-/// frame-checked once per file version, then its payload is borrowed in
-/// place rather than decoded.
+/// Both read paths start here: [`Artifact::from_bytes`] decodes the
+/// payload it returns, and [`crate::Store::map`] frame-checks a mapped
+/// file once per file version, then borrows its payload in place.
 ///
 /// # Errors
 ///
@@ -193,6 +128,9 @@ pub fn validate_frame(bytes: &[u8], kind: u16) -> Result<&[u8], StoreError> {
             supported: FORMAT_VERSION,
         });
     }
+    // Version 0 never existed; rejecting it means *every* single-byte
+    // corruption of the frame is detectable (a flipped version byte
+    // cannot masquerade as an older, laxer format).
     if version == 0 {
         return Err(StoreError::corrupted("format version 0 is invalid"));
     }
@@ -204,11 +142,20 @@ pub fn validate_frame(bytes: &[u8], kind: u16) -> Result<&[u8], StoreError> {
         });
     }
     let payload_len = r.usize()?;
-    if r.remaining() != payload_len + TRAILER_LEN {
-        return Err(StoreError::Truncated {
-            needed: payload_len + TRAILER_LEN,
-            available: r.remaining(),
-        });
+    let available = r.remaining();
+    match available.checked_sub(TRAILER_LEN) {
+        Some(have) if have == payload_len => {}
+        Some(have) if have > payload_len => {
+            return Err(StoreError::corrupted(
+                "container longer than header + payload + checksum",
+            ))
+        }
+        _ => {
+            return Err(StoreError::Truncated {
+                needed: payload_len.saturating_add(TRAILER_LEN),
+                available,
+            })
+        }
     }
     let payload = r.bytes(payload_len)?;
     let stored = r.u64()?;

@@ -1,6 +1,7 @@
-//! [`Artifact`] impls for the stack's building-block types: dense
-//! vectors, CSR matrices, partitions, matrix diagrams, MDDs, solver
-//! solutions, run reports, compiled-kernel parts and solver checkpoints.
+//! [`Artifact`] impls for the stack's element-by-element kinds: dense
+//! vectors, partitions, solver solutions, run reports and solver
+//! checkpoints. Diagrams and compiled kernels persist as arena images
+//! instead (see [`crate::image`]).
 //!
 //! Every codec round-trips **bit-exactly** (f64s travel as bit patterns)
 //! and decodes through each type's validating constructor, so corrupted
@@ -8,13 +9,7 @@
 
 use std::time::Duration;
 
-use mdl_arena::Interval;
-use mdl_ctmc::{
-    AttemptOutcome, AttemptRecord, BoundsSolution, BoundsStats, RunReport, Solution, SolveStats,
-};
-use mdl_linalg::CsrMatrix;
-use mdl_md::{ChildId, CompiledParts, Md, MdNode, Term};
-use mdl_mdd::Mdd;
+use mdl_ctmc::{AttemptOutcome, AttemptRecord, RunReport, Solution, SolveStats};
 use mdl_partition::Partition;
 
 use crate::artifact::Codec;
@@ -60,29 +55,6 @@ impl Codec for Vec<f64> {
     }
 }
 
-impl Codec for CsrMatrix {
-    const KIND: u16 = 2;
-    const NAME: &'static str = "csr";
-
-    fn encode(&self, w: &mut ByteWriter) {
-        w.usize(self.nrows());
-        w.usize(self.ncols());
-        w.usize_slice(self.row_ptr_raw());
-        w.u32_slice(self.col_idx_raw());
-        w.f64_slice(self.values_raw());
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        let nrows = r.usize()?;
-        let ncols = r.usize()?;
-        let row_ptr = r.usize_vec()?;
-        let col_idx = r.u32_vec()?;
-        let values = r.f64_vec()?;
-        CsrMatrix::try_from_raw_parts(nrows, ncols, row_ptr, col_idx, values)
-            .map_err(StoreError::corrupted)
-    }
-}
-
 impl Codec for Partition {
     const KIND: u16 = 3;
     const NAME: &'static str = "partition";
@@ -101,97 +73,6 @@ impl Codec for Partition {
             members.push(r.usize_vec()?);
         }
         Partition::try_from_classes(members).map_err(StoreError::corrupted)
-    }
-}
-
-impl Codec for Md {
-    const KIND: u16 = 4;
-    const NAME: &'static str = "md";
-
-    fn encode(&self, w: &mut ByteWriter) {
-        w.usize_slice(self.sizes());
-        for level in 0..self.num_levels() {
-            let nodes = self.level_nodes(level);
-            w.usize(nodes.len());
-            for node in nodes {
-                w.usize(node.num_entries());
-                for e in node.entries() {
-                    w.u32(e.row);
-                    w.u32(e.col);
-                    w.usize(e.terms.len());
-                    for t in &e.terms {
-                        w.f64(t.coef);
-                        match t.child {
-                            ChildId::Terminal => w.u8(0),
-                            ChildId::Node(n) => {
-                                w.u8(1);
-                                w.u32(n);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        let sizes = r.usize_vec()?;
-        let mut levels = Vec::with_capacity(sizes.len());
-        for _ in 0..sizes.len() {
-            let num_nodes = r.seq_len(8)?;
-            let mut nodes = Vec::with_capacity(num_nodes);
-            for _ in 0..num_nodes {
-                let num_entries = r.seq_len(8)?;
-                let mut raw = Vec::with_capacity(num_entries);
-                for _ in 0..num_entries {
-                    let row = r.u32()?;
-                    let col = r.u32()?;
-                    let num_terms = r.seq_len(9)?;
-                    let mut terms = Vec::with_capacity(num_terms);
-                    for _ in 0..num_terms {
-                        let coef = r.f64()?;
-                        let child = match r.u8()? {
-                            0 => ChildId::Terminal,
-                            1 => ChildId::Node(r.u32()?),
-                            t => {
-                                return Err(StoreError::corrupted(format!("unknown child tag {t}")))
-                            }
-                        };
-                        terms.push(Term::new(coef, child));
-                    }
-                    raw.push((row, col, terms));
-                }
-                // `MdNode::new` canonicalizes; canonical input (which is
-                // what we wrote) is a fixed point, so this round-trips
-                // bit-exactly.
-                nodes.push(MdNode::new(raw));
-            }
-            levels.push(nodes);
-        }
-        Md::from_levels(sizes, levels).map_err(|e| StoreError::corrupted(e.to_string()))
-    }
-}
-
-impl Codec for Mdd {
-    const KIND: u16 = 5;
-    const NAME: &'static str = "mdd";
-
-    fn encode(&self, w: &mut ByteWriter) {
-        w.usize_slice(self.sizes());
-        w.usize(self.num_levels());
-        for level in 0..self.num_levels() {
-            w.u32_slice(self.raw_level_children(level));
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        let sizes = r.usize_vec()?;
-        let num_levels = r.seq_len(8)?;
-        let mut rows = Vec::with_capacity(num_levels);
-        for _ in 0..num_levels {
-            rows.push(r.u32_vec()?);
-        }
-        Mdd::from_raw_levels(sizes, rows).map_err(|e| StoreError::corrupted(e.to_string()))
     }
 }
 
@@ -281,170 +162,6 @@ impl Codec for RunReport {
             });
         }
         Ok(RunReport { attempts })
-    }
-}
-
-impl Codec for CompiledParts {
-    const KIND: u16 = 8;
-    const NAME: &'static str = "kernel";
-
-    fn encode(&self, w: &mut ByteWriter) {
-        w.u64(self.num_states);
-        // The wire format predates the struct-of-slabs layout: blocks
-        // travel interleaved, exactly as the original array-of-structs
-        // encoding wrote them, so existing kind-8 files stay readable.
-        w.usize(self.num_blocks());
-        for b in 0..self.num_blocks() {
-            w.u64(self.block_row_bases[b]);
-            w.u64(self.block_col_bases[b]);
-            w.f64(self.block_scales[b]);
-            w.u32(self.block_leafs[b]);
-        }
-        w.u32_slice(&self.leaf_bounds);
-        w.u32_slice(&self.leaf_rows);
-        w.u32_slice(&self.leaf_cols);
-        w.f64_slice(&self.leaf_coefs);
-        w.u64(self.triples_visited);
-        w.u64(self.triples_compiled);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        let num_states = r.u64()?;
-        let n = r.seq_len(28)?;
-        let mut row_bases = Vec::with_capacity(n);
-        let mut col_bases = Vec::with_capacity(n);
-        let mut scales = Vec::with_capacity(n);
-        let mut leafs = Vec::with_capacity(n);
-        for _ in 0..n {
-            row_bases.push(r.u64()?);
-            col_bases.push(r.u64()?);
-            scales.push(r.f64()?);
-            leafs.push(r.u32()?);
-        }
-        let leaf_bounds = r.u32_vec()?;
-        let leaf_rows = r.u32_vec()?;
-        let leaf_cols = r.u32_vec()?;
-        let leaf_coefs = r.f64_vec()?;
-        let triples_visited = r.u64()?;
-        let triples_compiled = r.u64()?;
-        // Deep structural validation (bounds monotonicity, block
-        // references) happens in `CompiledMdMatrix::from_parts`, which
-        // every consumer goes through to obtain a usable kernel;
-        // `validate` below covers the cross-array length invariants.
-        Ok(CompiledParts {
-            num_states,
-            block_row_bases: row_bases.into(),
-            block_col_bases: col_bases.into(),
-            block_scales: scales.into(),
-            block_leafs: leafs.into(),
-            leaf_bounds: leaf_bounds.into(),
-            leaf_rows: leaf_rows.into(),
-            leaf_cols: leaf_cols.into(),
-            leaf_coefs: leaf_coefs.into(),
-            triples_visited,
-            triples_compiled,
-        })
-    }
-
-    fn validate(&self) -> Result<(), StoreError> {
-        let b = self.num_blocks();
-        if self.block_col_bases.len() != b
-            || self.block_scales.len() != b
-            || self.block_leafs.len() != b
-        {
-            return Err(StoreError::corrupted(
-                "kernel block arrays disagree in length",
-            ));
-        }
-        if self.leaf_rows.len() != self.leaf_coefs.len()
-            || self.leaf_cols.len() != self.leaf_coefs.len()
-        {
-            return Err(StoreError::corrupted(
-                "kernel leaf arrays disagree in length",
-            ));
-        }
-        match self.leaf_bounds.split_first() {
-            None if self.leaf_coefs.is_empty() => {}
-            None => return Err(StoreError::corrupted("kernel leaf bounds missing")),
-            Some((&first, rest)) => {
-                if first != 0
-                    || rest.windows(2).any(|w| w[0] > w[1])
-                    || self.leaf_bounds.windows(2).any(|w| w[0] > w[1])
-                    || *self.leaf_bounds.last().expect("nonempty") as usize != self.leaf_coefs.len()
-                {
-                    return Err(StoreError::corrupted("kernel leaf bounds malformed"));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Codec for BoundsSolution {
-    const KIND: u16 = 13;
-    const NAME: &'static str = "bounds";
-
-    fn encode(&self, w: &mut ByteWriter) {
-        w.f64(self.bounds.lo);
-        w.f64(self.bounds.hi);
-        w.usize(self.stats.lower_iterations);
-        w.usize(self.stats.upper_iterations);
-        w.f64(self.stats.lower_residual);
-        w.f64(self.stats.upper_residual);
-        w.u8(self.stats.converged as u8);
-        w.f64(self.stats.lambda);
-        w.f64(self.stats.discretization_error);
-        w.u64(duration_nanos(self.stats.elapsed));
-        Codec::encode(&self.report, w);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        let lo = r.f64()?;
-        let hi = r.f64()?;
-        let lower_iterations = r.usize()?;
-        let upper_iterations = r.usize()?;
-        let lower_residual = r.f64()?;
-        let upper_residual = r.f64()?;
-        let converged = match r.u8()? {
-            0 => false,
-            1 => true,
-            t => return Err(StoreError::corrupted(format!("unknown bool tag {t}"))),
-        };
-        let lambda = r.f64()?;
-        let discretization_error = r.f64()?;
-        let elapsed = Duration::from_nanos(r.u64()?);
-        let report = RunReport::decode(r)?;
-        Ok(BoundsSolution {
-            bounds: Interval { lo, hi },
-            stats: BoundsStats {
-                lower_iterations,
-                upper_iterations,
-                lower_residual,
-                upper_residual,
-                converged,
-                lambda,
-                discretization_error,
-                elapsed,
-            },
-            report,
-        })
-    }
-
-    fn validate(&self) -> Result<(), StoreError> {
-        let Interval { lo, hi } = self.bounds;
-        if !lo.is_finite() || !hi.is_finite() || lo > hi {
-            return Err(StoreError::corrupted(format!(
-                "bounds [{lo}, {hi}] are not a finite ordered interval"
-            )));
-        }
-        // `is_nan` checks are spelled out so NaN stats are rejected too.
-        let bad = |v: f64| v.is_nan() || v < 0.0;
-        if bad(self.stats.lambda) || bad(self.stats.discretization_error) {
-            return Err(StoreError::corrupted(
-                "bounds stats carry a negative or NaN rate/error",
-            ));
-        }
-        Ok(())
     }
 }
 

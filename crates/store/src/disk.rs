@@ -1,8 +1,9 @@
 //! The on-disk content-addressed artifact store.
 //!
-//! One directory, one file per artifact: `<name>-<key as hex>.mdls`,
-//! where `name` is the artifact's [`Artifact::NAME`] and `key` is the
-//! caller's cache key (a 64-bit content hash of the stage's inputs).
+//! One directory, one file per artifact: `<name>-<key as hex>.<ext>`,
+//! where `name` is the artifact's [`Artifact::NAME`], `key` is the
+//! caller's cache key (a 64-bit content hash of the stage's inputs) and
+//! `ext` is `mdls`, or `mdlm` for the mappable arena images.
 //! Writes go through a temp file + rename so a crash mid-write never
 //! leaves a half-written artifact under a valid name; reads validate the
 //! full container (magic, version, kind, checksum) before decoding.
@@ -21,17 +22,18 @@
 //! retried with bounded backoff before surfacing.
 //!
 //! Obs counters: `store.hit`, `store.miss`, `store.write_bytes`,
-//! `store.lock_wait` (writers that found the lock held) and
-//! `store.lock_stale` (stale locks broken).
+//! `store.lock_wait` (writers that found the lock held),
+//! `store.lock_stale` (stale locks broken) and `store.map.hit` /
+//! `store.map.miss` (opens served by / entering the mapping cache).
 
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime};
 
-use mdl_arena::{ImageView, Mapping, SlabSource};
+use mdl_arena::{ArenaError, ImageView, Mapping, SlabSource};
 
 use crate::artifact::{validate_frame, Artifact};
 use crate::image::MappedArtifact;
@@ -59,9 +61,14 @@ const LOCK_WAIT: Duration = Duration::from_secs(30);
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A directory of serialized artifacts, addressed by `(kind, key)`.
+///
+/// Clones share one mapping cache (see [`Store::map`]); it is dropped,
+/// with every mapping no live value still borrows, when the last clone
+/// goes.
 #[derive(Debug, Clone)]
 pub struct Store {
     root: PathBuf,
+    maps: Arc<Mutex<HashMap<PathBuf, MapEntry>>>,
 }
 
 impl Store {
@@ -73,7 +80,10 @@ impl Store {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Store, StoreError> {
         let root = dir.into();
         fs::create_dir_all(&root).map_err(|e| io_err(&root, e))?;
-        Ok(Store { root })
+        Ok(Store {
+            root,
+            maps: Arc::default(),
+        })
     }
 
     /// The store's root directory.
@@ -213,19 +223,19 @@ impl Store {
     ///
     /// The mapping is validated once per file version (magic, format
     /// version, kind, length accounting, FNV-1a payload checksum) and
-    /// then cached process-wide, keyed by path and invalidated on any
-    /// length/mtime change — so repeated opens, and opens from many
-    /// threads or pipelines of one process, share a single `mmap(2)`
-    /// region and skip the checksum pass (`store.map.hit` vs
-    /// `store.map.miss`). Distinct *processes* mapping the same file
-    /// share physical pages through the page cache. Replacing an
-    /// artifact goes through `rename(2)`, which leaves the mapped inode
-    /// untouched; live slabs stay valid and the cache picks up the new
-    /// file on the next open.
+    /// then cached in this store handle, keyed by path and invalidated on
+    /// any length/mtime change — so repeated opens through the handle or
+    /// its clones (threads, pipelines and daemon workers sharing one
+    /// store) share a single `mmap(2)` region and skip the checksum pass
+    /// (`store.map.hit` vs `store.map.miss`). Distinct handles and
+    /// processes mapping the same file share physical pages through the
+    /// page cache. Replacing an artifact goes through `rename(2)`, which
+    /// leaves the mapped inode untouched; live slabs stay valid and the
+    /// cache picks up the new file on the next open.
     ///
-    /// A missing file is `Ok(None)` (counted on `store.miss`). On
-    /// non-Unix targets, where [`Mapping::open`] is unsupported, this
-    /// returns an error — callers fall back to [`Store::load`].
+    /// A missing file is `Ok(None)` (counted on `store.miss`). Where
+    /// mapping is unsupported ([`ArenaError::Unsupported`], i.e. off
+    /// Unix) this copy-decodes the same file through [`Store::load`].
     ///
     /// # Errors
     ///
@@ -242,7 +252,9 @@ impl Store {
             }
             Err(e) => return Err(io_err(&path, e)),
         };
-        let region = cached_mapping(&path, &meta, A::KIND)?;
+        let Some(region) = self.cached_mapping(&path, &meta, A::KIND)? else {
+            return self.load(key);
+        };
         // The frame was validated when the mapping entered the cache;
         // re-slice the payload without re-hashing it.
         let bytes = region.bytes();
@@ -253,6 +265,47 @@ impl Store {
         mdl_obs::counter("store.hit").inc();
         attributed_point("store.hit", A::NAME, key);
         Ok(Some(artifact))
+    }
+
+    /// Fetches (or creates and frame-validates) this store's cached
+    /// mapping of `path`; `None` where mapping is unsupported.
+    fn cached_mapping(
+        &self,
+        path: &Path,
+        meta: &fs::Metadata,
+        kind: u16,
+    ) -> Result<Option<Arc<Mapping>>, StoreError> {
+        let len = meta.len();
+        let mtime = meta.modified().ok();
+        let mut cache = self.maps.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(entry) = cache.get(path) {
+            if entry.len == len && entry.mtime == mtime && entry.kind == kind {
+                mdl_obs::counter("store.map.hit").inc();
+                return Ok(Some(Arc::clone(&entry.region)));
+            }
+        }
+        let region = match Mapping::open(path) {
+            Ok(region) => Arc::new(region),
+            Err(ArenaError::Unsupported(_)) => return Ok(None),
+            Err(e) => {
+                return Err(StoreError::Io {
+                    path: path.display().to_string(),
+                    detail: e.to_string(),
+                })
+            }
+        };
+        validate_frame(region.bytes(), kind)?;
+        mdl_obs::counter("store.map.miss").inc();
+        cache.insert(
+            path.to_path_buf(),
+            MapEntry {
+                len,
+                mtime,
+                kind,
+                region: Arc::clone(&region),
+            },
+        );
+        Ok(Some(region))
     }
 
     /// Removes the artifact stored under `key`, if present.
@@ -270,51 +323,15 @@ impl Store {
     }
 }
 
-/// One process-wide cached `mmap` of an artifact file, revalidated by
-/// (length, mtime).
+/// One cached `mmap` of an artifact file, revalidated by (length,
+/// mtime). A hit is an `Arc` clone; a miss maps and frame-validates the
+/// file (the only FNV pass it gets while unchanged).
+#[derive(Debug)]
 struct MapEntry {
     len: u64,
     mtime: Option<SystemTime>,
     kind: u16,
     region: Arc<Mapping>,
-}
-
-/// The process-wide mapping cache behind [`Store::map`]. Entries are
-/// keyed by absolute artifact path; a hit is an `Arc` clone, a miss
-/// maps and frame-validates the file (the only FNV pass it will ever
-/// get while unchanged).
-fn map_cache() -> &'static Mutex<HashMap<PathBuf, MapEntry>> {
-    static CACHE: OnceLock<Mutex<HashMap<PathBuf, MapEntry>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Fetches (or creates and validates) the cached mapping for `path`.
-fn cached_mapping(path: &Path, meta: &fs::Metadata, kind: u16) -> Result<Arc<Mapping>, StoreError> {
-    let len = meta.len();
-    let mtime = meta.modified().ok();
-    let mut cache = map_cache().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(entry) = cache.get(path) {
-        if entry.len == len && entry.mtime == mtime && entry.kind == kind {
-            mdl_obs::counter("store.map.hit").inc();
-            return Ok(Arc::clone(&entry.region));
-        }
-    }
-    let region = Arc::new(Mapping::open(path).map_err(|e| StoreError::Io {
-        path: path.display().to_string(),
-        detail: e.to_string(),
-    })?);
-    validate_frame(region.bytes(), kind)?;
-    mdl_obs::counter("store.map.miss").inc();
-    cache.insert(
-        path.to_path_buf(),
-        MapEntry {
-            len,
-            mtime,
-            kind,
-            region: Arc::clone(&region),
-        },
-    );
-    Ok(region)
 }
 
 /// The writer-lock sidecar for `artifact`: the historical
@@ -548,6 +565,7 @@ mod tests {
 
     #[test]
     fn corrupt_file_is_an_error_not_a_miss() {
+        let _guard = mdl_obs::testing::guard();
         let store = Store::open(temp_dir("corrupt")).unwrap();
         store.save(1, &vec![1.0f64, 2.0]).unwrap();
         let path = store.path_for::<Vec<f64>>(1);
@@ -646,6 +664,7 @@ mod tests {
 
     #[test]
     fn stale_lock_is_broken_and_write_proceeds() {
+        let _guard = mdl_obs::testing::guard();
         let store = Store::open(temp_dir("stale")).unwrap();
         let path = store.path_for::<Vec<f64>>(9);
         let lock = path.with_extension("lock");
@@ -663,6 +682,7 @@ mod tests {
 
     #[test]
     fn sweep_debris_keeps_artifacts_and_fresh_debris() {
+        let _guard = mdl_obs::testing::guard();
         let store = Store::open(temp_dir("sweep")).unwrap();
         store.save(1, &vec![1.0f64]).unwrap();
         let fresh_lock = store.root().join("vecf64-0000000000000001.lock");
@@ -679,8 +699,41 @@ mod tests {
         let _ = fs::remove_dir_all(store.root());
     }
 
+    /// The mapping cache belongs to the store handle: clones share it,
+    /// and a newly opened handle on the same directory starts empty.
+    #[cfg(unix)]
+    #[test]
+    fn mapping_cache_is_scoped_to_the_store_handle() {
+        use crate::MddImage;
+
+        let _guard = mdl_obs::testing::guard();
+        mdl_obs::reset();
+        mdl_obs::set_enabled(true);
+        let store = Store::open(temp_dir("map-scope")).unwrap();
+        let mdd = mdl_mdd::Mdd::from_tuples(vec![2, 3], vec![vec![0, 1], vec![1, 2]]).unwrap();
+        store.save(3, &MddImage(mdd)).unwrap();
+        let counts = || {
+            (
+                mdl_obs::counter("store.map.miss").get(),
+                mdl_obs::counter("store.map.hit").get(),
+            )
+        };
+        assert!(store.map::<MddImage>(3).unwrap().unwrap().0.is_mapped());
+        assert_eq!(counts(), (1, 0), "the first map enters the cache");
+        let clone = store.clone();
+        assert!(clone.map::<MddImage>(3).unwrap().is_some());
+        assert_eq!(counts(), (1, 1), "a clone shares the cache");
+        let reopened = Store::open(store.root()).unwrap();
+        assert!(reopened.map::<MddImage>(3).unwrap().is_some());
+        assert_eq!(counts(), (2, 1), "a new handle starts with an empty cache");
+        mdl_obs::set_enabled(false);
+        mdl_obs::reset();
+        let _ = fs::remove_dir_all(store.root());
+    }
+
     #[test]
     fn keys_and_kinds_do_not_collide() {
+        let _guard = mdl_obs::testing::guard();
         let store = Store::open(temp_dir("keys")).unwrap();
         store.save(1, &vec![1.0f64]).unwrap();
         store.save(2, &vec![2.0f64]).unwrap();

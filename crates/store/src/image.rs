@@ -1,27 +1,29 @@
 //! Arena-image artifact kinds: containers whose payload **is** an
 //! [`mdl_arena`] section image.
 //!
-//! The classic codecs ([`crate::Artifact`] kinds 1–9) decode element by
-//! element into freshly allocated structures. The kinds here skip that:
-//! the payload bytes are the exact slab layout the in-memory types use
-//! ([`Mdd`], [`Md`], [`CompiledParts`]), so a reader can either
+//! These kinds are the only on-disk form of MDDs, matrix diagrams and
+//! compiled kernels. The payload bytes are the exact slab layout the
+//! in-memory types use ([`Mdd`], [`Md`], [`CompiledParts`]), so a reader
+//! can either
 //!
-//! * **copy-decode** — [`Codec::decode`] parses the section directory
-//!   and copies each section into an owned slab — or
 //! * **borrow in place** — [`crate::Store::map`] `mmap(2)`s the file,
 //!   frame-checks it once, and hands each section to
 //!   [`MappedArtifact::from_image`] with [`SlabSource::Mapped`], so the
 //!   slabs are zero-copy views into the shared read-only region and
 //!   concurrent workers (threads *or processes*) share one physical
-//!   mapping.
+//!   mapping — or
+//! * **copy-decode** — [`Codec::decode`] parses the section directory
+//!   and copies each section into an owned slab. `Store::map` falls back
+//!   to this where mapping is unsupported; [`crate::Store::load`] always
+//!   takes it.
 //!
-//! Both paths produce values that compare equal and compile/solve
-//! bit-identically; the mapped path just skips the allocation and copy.
-//! Image artifacts use the `mdlm` file extension (see
-//! [`Codec::EXTENSION`]) so their writer sidecars get mapping-aware
-//! names.
+//! Both paths run the same structural validation, produce values that
+//! compare equal, and compile/solve bit-identically; the mapped path
+//! just skips the allocation and copy. Image artifacts use the `mdlm`
+//! file extension (see [`Codec::EXTENSION`]) so their writer sidecars
+//! get mapping-aware names.
 
-use mdl_arena::{ImageView, ImageWriter, Interval, Slab, SlabSource};
+use mdl_arena::{ImageView, ImageWriter, SlabSource};
 use mdl_md::{CompiledParts, Md};
 use mdl_mdd::Mdd;
 
@@ -34,9 +36,6 @@ use crate::StoreError;
 /// [`crate::Store::map`] requires: it is what makes zero-copy opens
 /// possible.
 pub trait MappedArtifact: Codec {
-    /// Writes the image sections of this artifact.
-    fn write_image(&self, w: &mut ImageWriter);
-
     /// Rebuilds the artifact from a parsed image, borrowing slabs from
     /// the backing mapping when `source` is [`SlabSource::Mapped`] (and
     /// silently copying when a section cannot be borrowed).
@@ -52,8 +51,7 @@ fn corrupt(e: impl std::fmt::Display) -> StoreError {
 }
 
 macro_rules! image_artifact {
-    ($(#[$doc:meta])* $wrapper:ident($inner:ty), kind: $kind:expr, name: $name:expr,
-     read: $read:expr) => {
+    ($(#[$doc:meta])* $wrapper:ident($inner:ty), kind: $kind:expr, name: $name:expr) => {
         $(#[$doc])*
         #[derive(Debug, Clone)]
         pub struct $wrapper(pub $inner);
@@ -78,15 +76,13 @@ macro_rules! image_artifact {
         }
 
         impl MappedArtifact for $wrapper {
-            fn write_image(&self, w: &mut ImageWriter) {
-                self.0.write_image(w);
-            }
-
             fn from_image(
                 view: &ImageView<'_>,
                 source: SlabSource<'_>,
             ) -> Result<Self, StoreError> {
-                ($read)(view, source).map($wrapper)
+                <$inner>::read_image(view, source)
+                    .map($wrapper)
+                    .map_err(corrupt)
             }
         }
 
@@ -109,10 +105,7 @@ image_artifact!(
     /// An MDD stored as its arena image (kind 10, `mddimg-*.mdlm`).
     MddImage(Mdd),
     kind: 10,
-    name: "mddimg",
-    read: |view: &ImageView<'_>, source: SlabSource<'_>| {
-        Mdd::read_image(view, source).map_err(corrupt)
-    }
+    name: "mddimg"
 );
 
 image_artifact!(
@@ -120,10 +113,7 @@ image_artifact!(
     /// `mdimg-*.mdlm`).
     MdImage(Md),
     kind: 11,
-    name: "mdimg",
-    read: |view: &ImageView<'_>, source: SlabSource<'_>| {
-        Md::read_image(view, source).map_err(corrupt)
-    }
+    name: "mdimg"
 );
 
 image_artifact!(
@@ -134,84 +124,7 @@ image_artifact!(
     /// rebuilt per open.
     KernelImage(CompiledParts),
     kind: 12,
-    name: "kernelimg",
-    read: |view: &ImageView<'_>, source: SlabSource<'_>| {
-        CompiledParts::read_image(view, source).map_err(corrupt)
-    }
-);
-
-/// Section tag for the single interval slab of an [`IntervalVector`].
-const TAG_INTERVAL_VALUES: u32 = 1;
-
-/// A dense vector of outward-rounded [`Interval`]s backed by a single
-/// slab, so certified per-state bound vectors (the `h̲`/`h̄` envelopes a
-/// `--bounds` solve converges to) persist and re-open exactly like the
-/// scalar artifacts — including zero-copy via [`crate::Store::map`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntervalVector(Slab<Interval>);
-
-impl IntervalVector {
-    /// Wraps an owned vector of intervals.
-    pub fn new(values: Vec<Interval>) -> IntervalVector {
-        IntervalVector(values.into())
-    }
-
-    /// The interval entries.
-    pub fn values(&self) -> &[Interval] {
-        &self.0
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the vector has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Whether the slab borrows a shared mapping (true only for values
-    /// obtained through [`crate::Store::map`]).
-    pub fn is_mapped(&self) -> bool {
-        self.0.is_mapped()
-    }
-
-    fn write_image(&self, w: &mut ImageWriter) {
-        w.put_interval(TAG_INTERVAL_VALUES, &self.0);
-    }
-
-    fn read_image(view: &ImageView<'_>, source: SlabSource<'_>) -> Result<Self, StoreError> {
-        view.slab_interval(TAG_INTERVAL_VALUES, source)
-            .map(IntervalVector)
-            .map_err(corrupt)
-    }
-}
-
-image_artifact!(
-    /// An interval vector stored as its arena image (kind 14,
-    /// `intervalimg-*.mdlm`).
-    IntervalVectorImage(IntervalVector),
-    kind: 14,
-    name: "intervalimg",
-    read: |view: &ImageView<'_>, source: SlabSource<'_>| {
-        IntervalVector::read_image(view, source)
-    }
-);
-
-image_artifact!(
-    /// Interval-weighted compiled-kernel parts stored as their arena
-    /// image (kind 15, `kernelivimg-*.mdlm`): the same section layout as
-    /// kind 12 with the scale/coefficient sections holding `[lo, hi]`
-    /// pairs, as written by the `Weight` impl for `Interval`. This is the
-    /// artifact a `--bounds` run persists so re-solves skip the envelope
-    /// compile.
-    KernelIntervalImage(CompiledParts<Interval>),
-    kind: 15,
-    name: "kernelivimg",
-    read: |view: &ImageView<'_>, source: SlabSource<'_>| {
-        CompiledParts::<Interval>::read_image(view, source).map_err(corrupt)
-    }
+    name: "kernelimg"
 );
 
 #[cfg(test)]
@@ -262,74 +175,5 @@ mod tests {
         // Flip a payload byte and fix nothing: checksum catches it.
         bytes[20] ^= 0xff;
         assert!(MddImage::from_bytes(&bytes).is_err());
-    }
-
-    fn sample_intervals() -> Vec<Interval> {
-        vec![
-            Interval { lo: 0.25, hi: 0.25 },
-            Interval { lo: -1.5, hi: 2.75 },
-            Interval {
-                lo: f64::MIN_POSITIVE,
-                hi: 1.0 + f64::EPSILON,
-            },
-            Interval { lo: -0.0, hi: 0.0 },
-        ]
-    }
-
-    #[test]
-    fn interval_vector_round_trips_through_container() {
-        let img = IntervalVectorImage(IntervalVector::new(sample_intervals()));
-        let back = IntervalVectorImage::from_bytes(&img.to_bytes()).unwrap();
-        assert_eq!(back.0.len(), 4);
-        assert!(!back.0.is_empty());
-        for (a, b) in back.0.values().iter().zip(img.0.values()) {
-            assert_eq!(a.lo.to_bits(), b.lo.to_bits());
-            assert_eq!(a.hi.to_bits(), b.hi.to_bits());
-        }
-        assert!(!back.0.is_mapped(), "copy decode owns its slab");
-    }
-
-    #[test]
-    fn empty_interval_vector_round_trips() {
-        let img = IntervalVectorImage(IntervalVector::new(Vec::new()));
-        let back = IntervalVectorImage::from_bytes(&img.to_bytes()).unwrap();
-        assert!(back.0.is_empty());
-        assert_eq!(back.0.len(), 0);
-    }
-
-    #[test]
-    fn interval_kinds_do_not_cross_decode() {
-        let img = IntervalVectorImage(IntervalVector::new(sample_intervals()));
-        let bytes = img.to_bytes();
-        assert!(matches!(
-            KernelIntervalImage::from_bytes(&bytes),
-            Err(StoreError::WrongKind {
-                found: 14,
-                expected: 15
-            })
-        ));
-        // And the interval vector rejects a scalar image's kind too.
-        let mdd = MddImage(sample_mdd()).to_bytes();
-        assert!(matches!(
-            IntervalVectorImage::from_bytes(&mdd),
-            Err(StoreError::WrongKind {
-                found: 10,
-                expected: 14
-            })
-        ));
-    }
-
-    #[test]
-    fn corrupt_interval_payload_is_rejected() {
-        let img = IntervalVectorImage(IntervalVector::new(sample_intervals()));
-        let clean = img.to_bytes();
-        for i in 0..clean.len() {
-            let mut bytes = clean.clone();
-            bytes[i] ^= 0x41;
-            assert!(
-                IntervalVectorImage::from_bytes(&bytes).is_err(),
-                "flip at byte {i} decoded successfully"
-            );
-        }
     }
 }

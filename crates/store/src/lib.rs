@@ -6,13 +6,14 @@
 //! artifact*: compositional lumping is paid once, then many MRP measures
 //! are answered against the small quotient. This crate makes that reuse
 //! literal. Every intermediate the pipeline produces — reachable-set
-//! MDDs, matrix diagrams, partitions, CSR matrices, dense vectors,
-//! solver solutions, run reports, compiled kernels, solver checkpoints —
-//! has a canonical binary encoding ([`Artifact`]) inside a
-//! self-describing container (magic `MDLS`, format version, kind tag,
-//! payload length, FNV-1a payload hash; see [`artifact`]), and the
-//! [`Store`] persists them in a directory keyed by 64-bit content
-//! hashes.
+//! MDDs, matrix diagrams, compiled kernels, partitions, dense vectors,
+//! solver solutions, run reports, solver checkpoints — has a canonical
+//! binary encoding ([`Artifact`]) inside a self-describing container
+//! (magic `MDLS`, format version, kind tag, payload length, FNV-1a
+//! payload hash; see [`artifact`]), and the [`Store`] persists them in a
+//! directory keyed by 64-bit content hashes. MDDs, matrix diagrams and
+//! compiled kernels persist only as arena images ([`image`]), which
+//! [`Store::map`] opens zero-copy.
 //!
 //! Design rules:
 //!
@@ -58,7 +59,4 @@ pub use codecs::Checkpoint;
 pub use disk::Store;
 pub use error::StoreError;
 pub use hash::Fnv1a;
-pub use image::{
-    IntervalVector, IntervalVectorImage, KernelImage, KernelIntervalImage, MappedArtifact, MdImage,
-    MddImage,
-};
+pub use image::{KernelImage, MappedArtifact, MdImage, MddImage};

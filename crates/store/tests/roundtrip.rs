@@ -5,15 +5,14 @@
 
 use proptest::prelude::*;
 
-use mdl_arena::Interval;
-use mdl_ctmc::{
-    AttemptOutcome, AttemptRecord, BoundsSolution, BoundsStats, RunReport, Solution, SolveStats,
-};
-use mdl_linalg::{CooMatrix, CsrMatrix};
+use mdl_ctmc::{Solution, SolveStats};
 use mdl_md::{CompiledMdMatrix, KroneckerExpr, Md, MdMatrix, SparseFactor};
 use mdl_mdd::Mdd;
 use mdl_partition::Partition;
-use mdl_store::{Artifact, Checkpoint, Codec, StoreError, FORMAT_VERSION};
+use mdl_store::{
+    Artifact, Checkpoint, Codec, Fnv1a, KernelImage, MappedArtifact, MdImage, MddImage, Store,
+    StoreError, FORMAT_VERSION, MAGIC,
+};
 
 const SIZES: [usize; 3] = [3, 4, 2];
 
@@ -32,17 +31,6 @@ fn any_bits() -> impl Strategy<Value = f64> {
 
 fn vectors() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(any_bits(), 0..40)
-}
-
-fn csr_matrices() -> impl Strategy<Value = CsrMatrix> {
-    let entry = (0usize..5, 0usize..6, -1.0e6..1.0e6);
-    (prop::collection::vec(entry, 0..25)).prop_map(|entries| {
-        let mut coo = CooMatrix::new(5, 6);
-        for (r, c, v) in entries {
-            coo.push(r, c, v);
-        }
-        coo.to_csr()
-    })
 }
 
 fn partitions() -> impl Strategy<Value = Partition> {
@@ -98,20 +86,43 @@ fn bits(v: &[f64]) -> Vec<u64> {
 /// flip of any single byte must too (the checksum plus strict frame
 /// checks leave no blind spots).
 fn assert_adversarial_inputs_fail<A: Artifact>(encoded: &[u8]) {
+    for_each_adversarial_input(encoded, |what, bytes| {
+        assert!(A::from_bytes(bytes).is_err(), "{what} decoded successfully");
+    });
+}
+
+/// [`assert_adversarial_inputs_fail`] for an image kind, with every
+/// damaged container also written to a store file and opened through
+/// both [`Store::load`] and [`Store::map`].
+fn assert_adversarial_images_fail<A: MappedArtifact>(tag: &str, encoded: &[u8]) {
+    assert_adversarial_inputs_fail::<A>(encoded);
+    let dir = temp_dir(tag);
+    for_each_adversarial_input(encoded, |what, bytes| {
+        // A fresh handle per input: no mapping of an earlier input is
+        // cached, so every open reads these bytes.
+        let store = Store::open(&dir).unwrap();
+        std::fs::write(store.path_for::<A>(1), bytes).unwrap();
+        assert!(store.load::<A>(1).is_err(), "{what} loaded successfully");
+        assert!(store.map::<A>(1).is_err(), "{what} mapped successfully");
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Calls `check` on every proper prefix of `encoded` and on every
+/// single-byte corruption of it.
+fn for_each_adversarial_input(encoded: &[u8], mut check: impl FnMut(&str, &[u8])) {
     for cut in 0..encoded.len() {
-        assert!(
-            A::from_bytes(&encoded[..cut]).is_err(),
-            "truncation at byte {cut} of {} decoded successfully",
-            encoded.len()
+        check(
+            &format!("truncation at byte {cut} of {}", encoded.len()),
+            &encoded[..cut],
         );
     }
     for i in 0..encoded.len() {
         let mut corrupt = encoded.to_vec();
         corrupt[i] ^= 0x41;
-        assert!(
-            A::from_bytes(&corrupt).is_err(),
-            "corruption at byte {i} of {} decoded successfully",
-            encoded.len()
+        check(
+            &format!("corruption at byte {i} of {}", encoded.len()),
+            &corrupt,
         );
     }
 }
@@ -126,21 +137,14 @@ proptest! {
     }
 
     #[test]
-    fn csr_round_trips(m in csr_matrices()) {
-        let decoded = CsrMatrix::from_bytes(&m.to_bytes()).unwrap();
-        prop_assert_eq!(&decoded, &m);
-        prop_assert_eq!(bits(decoded.values_raw()), bits(m.values_raw()));
-    }
-
-    #[test]
     fn partitions_round_trip(p in partitions()) {
         let decoded = Partition::from_bytes(&p.to_bytes()).unwrap();
         prop_assert_eq!(decoded, p);
     }
 
     #[test]
-    fn mdds_round_trip(m in mdds()) {
-        let decoded = Mdd::from_bytes(&m.to_bytes()).unwrap();
+    fn mdd_images_round_trip(m in mdds()) {
+        let decoded = MddImage::from_bytes(&MddImage(m.clone()).to_bytes()).unwrap().into_inner();
         prop_assert_eq!(decoded.sizes(), m.sizes());
         prop_assert_eq!(decoded.count(), m.count());
         for level in 0..m.num_levels() {
@@ -150,15 +154,16 @@ proptest! {
     }
 
     #[test]
-    fn mds_round_trip(md in mds()) {
-        let decoded = Md::from_bytes(&md.to_bytes()).unwrap();
+    fn md_images_round_trip(md in mds()) {
+        let encoded = MdImage(md.clone()).to_bytes();
+        let decoded = MdImage::from_bytes(&encoded).unwrap().into_inner();
         prop_assert_eq!(decoded.sizes(), md.sizes());
         prop_assert_eq!(decoded.num_nodes(), md.num_nodes());
         for level in 0..md.num_levels() {
             prop_assert_eq!(decoded.level_nodes(level), md.level_nodes(level));
         }
-        // Re-encoding is byte-identical: the canonical form is stable.
-        prop_assert_eq!(decoded.to_bytes(), md.to_bytes());
+        // Re-encoding is byte-identical: the slab layout is stable.
+        prop_assert_eq!(MdImage(decoded).to_bytes(), encoded);
     }
 
     #[test]
@@ -176,25 +181,28 @@ proptest! {
     }
 
     #[test]
-    fn truncation_and_corruption_never_panic_mdds(m in mdds()) {
-        assert_adversarial_inputs_fail::<Mdd>(&m.to_bytes());
-    }
-
-    #[test]
     fn truncation_and_corruption_never_panic_solutions(s in solutions()) {
         assert_adversarial_inputs_fail::<Solution>(&s.to_bytes());
     }
 }
 
+proptest! {
+    // Each case opens a few thousand damaged files; fewer cases suffice.
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    #[test]
+    fn truncation_and_corruption_never_panic_mdd_images(m in mdds()) {
+        assert_adversarial_images_fail::<MddImage>("adv-mdd", &MddImage(m).to_bytes());
+    }
+
+    #[test]
+    fn truncation_and_corruption_never_panic_md_images(md in mds()) {
+        assert_adversarial_images_fail::<MdImage>("adv-md", &MdImage(md).to_bytes());
+    }
+}
+
 #[test]
 fn truncation_and_corruption_never_panic_structured() {
-    let coo = {
-        let mut c = CooMatrix::new(3, 3);
-        c.push(0, 1, 1.5);
-        c.push(2, 0, -2.0);
-        c
-    };
-    assert_adversarial_inputs_fail::<CsrMatrix>(&coo.to_csr().to_bytes());
     let p = Partition::from_classes(vec![vec![0, 2], vec![1]]);
     assert_adversarial_inputs_fail::<Partition>(&p.to_bytes());
     let mut expr = KroneckerExpr::new(vec![2, 2]);
@@ -203,7 +211,12 @@ fn truncation_and_corruption_never_panic_structured() {
     f.push(1, 0, 2.0);
     expr.add_term(1.0, vec![Some(f), None]);
     let md = expr.to_md().unwrap();
-    assert_adversarial_inputs_fail::<Md>(&md.to_bytes());
+    assert_adversarial_images_fail::<MdImage>("adv-md-fixed", &MdImage(md).to_bytes());
+    let (compiled, _) = small_kernel();
+    assert_adversarial_images_fail::<KernelImage>(
+        "adv-kernel",
+        &KernelImage(compiled.to_parts()).to_bytes(),
+    );
     let ck = Checkpoint {
         phase: "solve.power".into(),
         iterations: 42,
@@ -263,147 +276,14 @@ fn checkpoint_round_trips() {
     assert_eq!(bits(&decoded.scalars), bits(&ck.scalars));
 }
 
-#[test]
-fn compiled_kernel_round_trips_through_parts() {
-    let mut w = SparseFactor::new(3);
-    w.push(0, 1, 1.0);
-    w.push(1, 2, 2.0);
-    w.push(2, 0, 0.5);
-    let mut cyc = SparseFactor::new(2);
-    cyc.push(0, 1, 3.0);
-    cyc.push(1, 0, 3.0);
-    let mut expr = KroneckerExpr::new(vec![2, 3]);
-    expr.add_term(1.0, vec![Some(cyc), None]);
-    expr.add_term(1.0, vec![None, Some(w)]);
-    let matrix = MdMatrix::new(expr.to_md().unwrap(), Mdd::full(vec![2, 3]).unwrap()).unwrap();
-    let compiled = CompiledMdMatrix::compile(&matrix);
-
-    let parts = compiled.to_parts();
-    let decoded = mdl_md::CompiledParts::from_bytes(&parts.to_bytes()).expect("parts decode");
-    assert_eq!(decoded, parts);
-    let rebuilt = CompiledMdMatrix::from_parts(decoded, 2).expect("parts validate");
-
-    use mdl_linalg::RateMatrix;
-    let x: Vec<f64> = (0..6).map(|i| 1.0 + i as f64).collect();
-    let (mut y_orig, mut y_rebuilt) = (vec![0.0; 6], vec![0.0; 6]);
-    compiled.acc_mat_vec(&x, &mut y_orig);
-    rebuilt.acc_mat_vec(&x, &mut y_rebuilt);
-    assert_eq!(bits(&y_orig), bits(&y_rebuilt));
-    let (mut z_orig, mut z_rebuilt) = (vec![0.0; 6], vec![0.0; 6]);
-    compiled.acc_vec_mat(&x, &mut z_orig);
-    rebuilt.acc_vec_mat(&x, &mut z_rebuilt);
-    assert_eq!(bits(&z_orig), bits(&z_rebuilt));
-
-    assert_adversarial_inputs_fail::<mdl_md::CompiledParts>(&parts.to_bytes());
-}
-
-fn sample_bounds_solution(converged: bool) -> BoundsSolution {
-    let sweep = |method: &'static str, iterations: usize| AttemptRecord {
-        method,
-        kernel: Some("interval"),
-        iterations,
-        residual: 3.5e-11,
-        outcome: if converged {
-            AttemptOutcome::Converged
-        } else {
-            AttemptOutcome::NotConverged
-        },
-        error: None,
-        elapsed: std::time::Duration::from_micros(730),
-    };
-    BoundsSolution {
-        bounds: Interval {
-            lo: 0.599_999_2,
-            hi: 0.600_000_9,
-        },
-        stats: BoundsStats {
-            lower_iterations: 412,
-            upper_iterations: 398,
-            lower_residual: 3.5e-11,
-            upper_residual: 2.1e-11,
-            converged,
-            lambda: 5.1,
-            discretization_error: 1.25e-9,
-            elapsed: std::time::Duration::from_micros(1460),
-        },
-        report: RunReport {
-            attempts: vec![sweep("bounds-lower", 412), sweep("bounds-upper", 398)],
-        },
-    }
-}
-
-/// Kind 13: a certified bounds solve round-trips bit-exactly, the nested
-/// attempt report reuses the interned sweep labels, and adversarial
-/// inputs are rejected.
-#[test]
-fn bounds_solution_round_trips_bit_exactly() {
-    for converged in [true, false] {
-        let sol = sample_bounds_solution(converged);
-        let bytes = sol.to_bytes();
-        let back = BoundsSolution::from_bytes(&bytes).unwrap();
-        assert_eq!(back.bounds.lo.to_bits(), sol.bounds.lo.to_bits());
-        assert_eq!(back.bounds.hi.to_bits(), sol.bounds.hi.to_bits());
-        assert_eq!(back.stats.lower_iterations, sol.stats.lower_iterations);
-        assert_eq!(back.stats.upper_iterations, sol.stats.upper_iterations);
-        assert_eq!(
-            back.stats.lower_residual.to_bits(),
-            sol.stats.lower_residual.to_bits()
-        );
-        assert_eq!(
-            back.stats.upper_residual.to_bits(),
-            sol.stats.upper_residual.to_bits()
-        );
-        assert_eq!(back.stats.converged, sol.stats.converged);
-        assert_eq!(back.stats.lambda.to_bits(), sol.stats.lambda.to_bits());
-        assert_eq!(
-            back.stats.discretization_error.to_bits(),
-            sol.stats.discretization_error.to_bits()
-        );
-        assert_eq!(back.stats.elapsed, sol.stats.elapsed);
-        assert_eq!(back.report.attempts.len(), 2);
-        // Interned labels decode to the same static strings the ctmc
-        // crate hands out, so pointer-free == comparisons keep working.
-        assert_eq!(back.report.attempts[0].method, "bounds-lower");
-        assert_eq!(back.report.attempts[1].method, "bounds-upper");
-        assert_eq!(back.report.attempts[0].kernel, Some("interval"));
-        assert_eq!(
-            back.report.attempts[0].outcome,
-            sol.report.attempts[0].outcome
-        );
-        assert_adversarial_inputs_fail::<BoundsSolution>(&bytes);
-    }
-}
-
-/// An inverted (`lo > hi`) or non-finite enclosure must not survive a
-/// store round trip even when the payload checksum is intact.
-#[test]
-fn malformed_bounds_are_rejected_on_decode() {
-    for bounds in [
-        Interval { lo: 2.0, hi: 1.0 },
-        Interval {
-            lo: f64::NAN,
-            hi: 1.0,
-        },
-        Interval {
-            lo: 0.0,
-            hi: f64::INFINITY,
-        },
-    ] {
-        let mut sol = sample_bounds_solution(true);
-        sol.bounds = bounds;
-        assert!(
-            BoundsSolution::from_bytes(&sol.to_bytes()).is_err(),
-            "bounds [{}, {}] decoded successfully",
-            bounds.lo,
-            bounds.hi
-        );
-    }
-}
-
-fn temp_store(tag: &str) -> mdl_store::Store {
+fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("mdl-roundtrip-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    mdl_store::Store::open(dir).unwrap()
+    dir
+}
+
+fn temp_store(tag: &str) -> Store {
+    Store::open(temp_dir(tag)).unwrap()
 }
 
 fn small_kernel() -> (CompiledMdMatrix, usize) {
@@ -421,37 +301,29 @@ fn small_kernel() -> (CompiledMdMatrix, usize) {
     (CompiledMdMatrix::compile(&matrix), n)
 }
 
-/// Satellite of the arena redesign: a kernel image opened by `mmap`
-/// (zero-copy slabs) and the same image copy-decoded must rebuild
-/// kernels whose products agree to the bit, and with the classic
-/// kind-8 decode path too.
+/// A kernel image opened by `mmap` (zero-copy slabs) and the same image
+/// copy-decoded must rebuild kernels whose products agree to the bit.
 #[cfg(unix)]
 #[test]
 fn mapped_and_decoded_kernels_are_byte_identical() {
     use mdl_linalg::RateMatrix;
-    use mdl_store::KernelImage;
 
     let store = temp_store("map-vs-decode");
     let (compiled, n) = small_kernel();
     let parts = compiled.to_parts();
     store.save(3, &KernelImage(parts.clone())).unwrap();
-    store.save(3, &parts).unwrap(); // classic kind 8, separate file
 
     let mapped = store.map::<KernelImage>(3).unwrap().expect("mapped open");
     assert!(mapped.0.is_mapped(), "slabs borrow the mapping");
     let decoded = store.load::<KernelImage>(3).unwrap().expect("copy decode");
     assert!(!decoded.0.is_mapped());
-    let classic = store
-        .load::<mdl_md::CompiledParts>(3)
-        .unwrap()
-        .expect("classic decode");
     assert_eq!(mapped.0, decoded.0);
-    assert_eq!(mapped.0, classic);
+    assert_eq!(mapped.0, parts);
 
     let x: Vec<f64> = (0..n).map(|i| 0.3 + 0.41 * i as f64).collect();
     let mut want = vec![0.0; n];
     compiled.acc_mat_vec(&x, &mut want);
-    for parts in [mapped.0, decoded.0, classic] {
+    for parts in [mapped.0, decoded.0] {
         let kernel = CompiledMdMatrix::from_parts(parts, 2).unwrap();
         let mut got = vec![0.0; n];
         kernel.acc_mat_vec(&x, &mut got);
@@ -460,92 +332,114 @@ fn mapped_and_decoded_kernels_are_byte_identical() {
     let _ = std::fs::remove_dir_all(store.root());
 }
 
-/// Kinds 14/15: an interval kernel image and an interval vector image
-/// opened by `mmap` and copy-decoded must agree exactly, and the mapped
-/// kernel's bound-operator sweeps must match the owned kernel's to the
-/// bit — certification must not depend on how the artifact was opened.
+/// An MD and an MDD report the same `memory_bytes` (the paper's "MD
+/// space") whether their slabs are owned or borrowed from a mapping.
 #[cfg(unix)]
 #[test]
-fn mapped_and_decoded_interval_artifacts_are_byte_identical() {
-    use mdl_linalg::IntervalRateMatrix;
-    use mdl_store::{IntervalVector, IntervalVectorImage, KernelIntervalImage};
+fn mapped_diagrams_report_their_full_size() {
+    let store = temp_store("map-memory");
+    let (compiled, _) = small_kernel();
+    let md = mds_sample();
+    let mdd = Mdd::from_tuples(SIZES.to_vec(), vec![vec![0, 0, 0], vec![2, 3, 1]]).unwrap();
+    store.save(4, &MdImage(md.clone())).unwrap();
+    store.save(4, &MddImage(mdd.clone())).unwrap();
+    store.save(4, &KernelImage(compiled.to_parts())).unwrap();
 
-    let store = temp_store("interval-map-vs-decode");
-
-    // An interval kernel: every leaf coefficient widened 1% outward.
-    let mut w = SparseFactor::new(3);
-    w.push(0, 1, 1.25);
-    w.push(2, 1, 0.75);
-    let mut cyc = SparseFactor::new(2);
-    cyc.push(0, 1, 2.0);
-    cyc.push(1, 0, 2.0);
-    let mut expr = KroneckerExpr::new(vec![2, 3]);
-    expr.add_term(1.0, vec![Some(cyc), None]);
-    expr.add_term(0.5, vec![None, Some(w)]);
-    let matrix = MdMatrix::new(expr.to_md().unwrap(), Mdd::full(vec![2, 3]).unwrap()).unwrap();
-    let n = matrix.reach().count() as usize;
-    let compiled = CompiledMdMatrix::<Interval>::compile_weighted(
-        &matrix,
-        1,
-        &mdl_obs::Budget::unlimited(),
-        &|site| Interval {
-            lo: site.coef * 0.99,
-            hi: site.coef * 1.01,
-        },
-    )
-    .unwrap();
-    let parts = compiled.to_parts();
-    store.save(5, &KernelIntervalImage(parts.clone())).unwrap();
-
-    let mapped = store
-        .map::<KernelIntervalImage>(5)
-        .unwrap()
-        .expect("mapped open");
-    assert!(mapped.0.is_mapped(), "slabs borrow the mapping");
-    let decoded = store
-        .load::<KernelIntervalImage>(5)
-        .unwrap()
-        .expect("copy decode");
-    assert!(!decoded.0.is_mapped());
-    assert_eq!(mapped.0, decoded.0);
-    assert_eq!(mapped.0, parts);
-
-    let f: Vec<f64> = (0..n).map(|i| 0.2 + 0.37 * i as f64).collect();
-    for upper in [false, true] {
-        let mut want = vec![0.0; n];
-        compiled.acc_bound_operator(&f, &mut want, upper);
-        for parts in [mapped.0.clone(), decoded.0.clone()] {
-            let kernel = CompiledMdMatrix::<Interval>::from_parts(parts, 2).unwrap();
-            let mut got = vec![0.0; n];
-            kernel.acc_bound_operator(&f, &mut got, upper);
-            assert_eq!(bits(&want), bits(&got));
-        }
-    }
-
-    // An interval vector rides the same save/map/load machinery.
-    let vals: Vec<Interval> = f
-        .iter()
-        .map(|&v| Interval {
-            lo: v - 0.125,
-            hi: v + 0.125,
-        })
-        .collect();
-    store
-        .save(6, &IntervalVectorImage(IntervalVector::new(vals.clone())))
-        .unwrap();
-    let vm = store
-        .map::<IntervalVectorImage>(6)
-        .unwrap()
-        .expect("mapped open");
-    assert!(vm.0.is_mapped());
-    let vd = store
-        .load::<IntervalVectorImage>(6)
-        .unwrap()
-        .expect("copy decode");
-    assert!(!vd.0.is_mapped());
-    assert_eq!(vm.0, vd.0);
-    assert_eq!(vm.0.values(), &vals[..]);
+    let mapped_md = store.map::<MdImage>(4).unwrap().unwrap().into_inner();
+    let mapped_mdd = store.map::<MddImage>(4).unwrap().unwrap().into_inner();
+    let mapped_kernel = store.map::<KernelImage>(4).unwrap().unwrap().into_inner();
+    assert!(mapped_md.is_mapped() && mapped_mdd.is_mapped() && mapped_kernel.is_mapped());
+    assert!(md.memory_bytes() > 0 && mdd.memory_bytes() > 0);
+    assert_eq!(mapped_md.memory_bytes(), md.memory_bytes());
+    assert_eq!(mapped_mdd.memory_bytes(), mdd.memory_bytes());
+    let mapped_kernel = CompiledMdMatrix::from_parts(mapped_kernel, 1).unwrap();
+    assert_eq!(mapped_kernel.memory_bytes(), compiled.memory_bytes());
     let _ = std::fs::remove_dir_all(store.root());
+}
+
+fn mds_sample() -> Md {
+    let mut expr = KroneckerExpr::new(vec![2, 3]);
+    let mut a = SparseFactor::new(2);
+    a.push(0, 1, 1.25);
+    a.push(1, 0, 0.5);
+    let mut b = SparseFactor::new(3);
+    b.push(0, 2, 2.0);
+    b.push(2, 1, 3.0);
+    expr.add_term(1.0, vec![Some(a), None]);
+    expr.add_term(1.0, vec![None, Some(b)]);
+    expr.to_md().unwrap()
+}
+
+/// Frames an arbitrary image payload as a valid container of kind `A`
+/// (correct length and checksum), so the structural checks of the image
+/// reader — not the checksum — must reject it.
+fn framed<A: Codec>(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&A::KIND.to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes.extend_from_slice(&Fnv1a::hash_bytes(payload).to_le_bytes());
+    bytes
+}
+
+/// Opens checksum-valid but structurally wrong image bytes through
+/// every read path, expecting [`StoreError::Corrupted`] each time.
+fn assert_rejected_image<A: MappedArtifact>(tag: &str, bytes: &[u8]) {
+    assert!(
+        matches!(A::from_bytes(bytes), Err(StoreError::Corrupted { .. })),
+        "{tag}: decode accepted the image"
+    );
+    let store = temp_store(tag);
+    std::fs::write(store.path_for::<A>(1), bytes).unwrap();
+    for (path, result) in [("load", store.load::<A>(1)), ("map", store.map::<A>(1))] {
+        assert!(
+            matches!(result, Err(StoreError::Corrupted { .. })),
+            "{tag}: {path} accepted the image"
+        );
+    }
+    let _ = std::fs::remove_dir_all(store.root());
+}
+
+/// An MDD image whose root offsets read `[0, 3]` instead of `[0, 2]`
+/// would rank a tuple past the end of its 4-tuple set; it must be
+/// rejected when opened, not panic later in `tuple_at`.
+#[test]
+fn mdd_image_with_wrong_offsets_is_rejected() {
+    // The full 2 × 2 set in the layout `Mdd::write_image` documents:
+    // tag 0 holds the sizes, level `l` tags `16 + 4l` (children),
+    // `+1` (offsets) and `+2` (counts).
+    let image = |root_offsets: &[u64]| {
+        let mut w = mdl_arena::ImageWriter::new();
+        w.put_u64(0, &[2, 2]);
+        w.put_u32(16, &[0, 0]);
+        w.put_u64(17, root_offsets);
+        w.put_u64(18, &[4]);
+        w.put_u32(20, &[Mdd::RAW_TERMINAL, Mdd::RAW_TERMINAL]);
+        w.put_u64(21, &[0, 1]);
+        w.put_u64(22, &[2]);
+        framed::<MddImage>(&w.finish())
+    };
+    let good = MddImage::from_bytes(&image(&[0, 2])).unwrap().into_inner();
+    assert_eq!(good.tuples(), Mdd::full(vec![2, 2]).unwrap().tuples());
+    assert_rejected_image::<MddImage>("bad-offsets", &image(&[0, 3]));
+}
+
+/// An MD image holding one NaN coefficient must be rejected when opened,
+/// not panic later when the matrix is flattened.
+#[test]
+fn md_image_with_nan_coefficient_is_rejected() {
+    let md = mds_sample();
+    let mut w = mdl_arena::ImageWriter::new();
+    md.write_image(&mut w);
+    let mut payload = w.finish();
+    let needle = 1.25f64.to_le_bytes();
+    let at = payload
+        .windows(8)
+        .position(|win| win == needle)
+        .expect("the 1.25 coefficient is in the image");
+    payload[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+    assert_rejected_image::<MdImage>("nan-coef", &framed::<MdImage>(&payload));
 }
 
 /// A second map of the same key reuses the cached mapping (one region,
@@ -553,8 +447,6 @@ fn mapped_and_decoded_interval_artifacts_are_byte_identical() {
 #[cfg(unix)]
 #[test]
 fn mapping_cache_hits_and_invalidation() {
-    use mdl_store::MddImage;
-
     let store = temp_store("map-cache");
     let mdd = Mdd::from_tuples(SIZES.to_vec(), vec![vec![0, 0, 0], vec![2, 3, 1]]).unwrap();
     store.save(9, &MddImage(mdd)).unwrap();
@@ -574,15 +466,13 @@ fn mapping_cache_hits_and_invalidation() {
 }
 
 /// Image artifacts use mapping-aware sidecar names; `sweep_debris`
-/// must collect them alongside the classic `.lock`/`.tmp.` debris.
+/// must collect them alongside the `.lock`/`.tmp.` debris of `.mdls` kinds.
 #[test]
 fn sweep_collects_mapped_sidecar_debris() {
     let store = temp_store("map-sweep");
     let (compiled, _) = small_kernel();
-    store
-        .save(1, &mdl_store::KernelImage(compiled.to_parts()))
-        .unwrap();
-    let artifact = store.path_for::<mdl_store::KernelImage>(1);
+    store.save(1, &KernelImage(compiled.to_parts())).unwrap();
+    let artifact = store.path_for::<KernelImage>(1);
     assert!(artifact.to_string_lossy().ends_with(".mdlm"));
     let maplock = store.root().join("kernelimg-0000000000000001.mdlm.maplock");
     let new_tmp = store

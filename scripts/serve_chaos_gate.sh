@@ -8,7 +8,7 @@
 #   * the daemon exits 0 (graceful drain, never a crash or hang),
 #   * it logs "drained cleanly",
 #   * the cache directory holds no leftover writer sidecar debris
-#     (.lock / .tmp.* for classic artifacts, .maplock / .new.* for
+#     (.lock / .tmp.* for .mdls artifacts, .maplock / .new.* for
 #     mapped arena images).
 #
 # Phase 2 starts TWO daemons over ONE shared cache directory and drives

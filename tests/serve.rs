@@ -447,11 +447,15 @@ fn concurrent_chaos_clients_terminate_in_the_trichotomy_without_corrupting_the_c
     server.drain();
     server.join();
 
-    // Drain swept every lock and temp file; only artifacts remain.
+    // Drain swept every writer sidecar — `.lock`/`.tmp.` and the image
+    // kinds' `.maplock`/`.new.` — so only artifacts remain.
     for entry in std::fs::read_dir(&dir).unwrap() {
         let name = entry.unwrap().file_name().to_string_lossy().into_owned();
         assert!(
-            !name.ends_with(".lock") && !name.contains(".tmp."),
+            !name.ends_with(".lock")
+                && !name.contains(".tmp.")
+                && !name.ends_with(".maplock")
+                && !name.contains(".new."),
             "drain left debris behind: {name}"
         );
     }
