@@ -3,8 +3,12 @@
 //! The build environment is offline, so instead of `serde_json` the crate
 //! ships the few hundred lines of JSON it actually needs: string escaping,
 //! an append-only object writer, and a small recursive-descent reader
-//! ([`parse`]) used by the bench regression gate to load baselines and by
-//! tests to verify that everything the writers emit round-trips. Output
+//! ([`parse`]). The reader decodes every `mdl-serve` request line, loads
+//! the bench regression gate's baselines, and lets tests verify that
+//! everything the writers emit round-trips. It runs in time linear in
+//! its input: a string is copied a run of plain bytes at a time, so a
+//! request line carrying a large model costs no more than its length
+//! says. Output
 //! is always a single line (JSONL friendly) and always valid JSON —
 //! non-finite floats are emitted as `null` rather than the invalid bare
 //! tokens `NaN`/`inf`.
@@ -196,6 +200,7 @@ impl Json {
 /// A message with the byte offset of the first problem.
 pub fn parse(s: &str) -> Result<Json, String> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -212,6 +217,7 @@ pub fn parse(s: &str) -> Result<Json, String> {
 const MAX_DEPTH: usize = 256;
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -320,6 +326,17 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the longest run of bytes that need no decoding in one
+            // go. The run ends at an ASCII byte or at the end of input,
+            // and it starts after one, so it is whole UTF-8 characters of
+            // the `&str` being parsed: no per-character validation.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             let Some(b) = self.peek() else {
                 return Err("unterminated string".into());
             };
@@ -374,17 +391,7 @@ impl Parser<'_> {
                         }
                     }
                 }
-                b if b < 0x20 => return Err(format!("raw control byte at {}", self.pos - 1)),
-                _ => {
-                    // Multi-byte UTF-8: copy the whole char.
-                    let start = self.pos - 1;
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
-                }
+                _ => return Err(format!("raw control byte at {}", self.pos - 1)),
             }
         }
     }
@@ -532,5 +539,96 @@ mod tests {
         assert!(parse(&deep).is_err());
         let ok = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&ok).is_ok());
+    }
+
+    /// A 256 KiB request line with a multi-byte character every 30 bytes
+    /// and an escaped newline about every 100. A decoder that validates
+    /// the rest of the input per character needs tens of seconds for it
+    /// in a debug build; a linear one needs milliseconds.
+    #[test]
+    fn long_strings_decode_in_linear_time() {
+        let filler = b"event work_high rate 1.5 factor workers 0 1 1.0 ";
+        let mut model = String::new();
+        let mut k = 0usize;
+        while model.len() < 256 * 1024 {
+            k += 1;
+            if k % 100 == 0 {
+                model.push('\n');
+            } else if k % 30 == 0 {
+                model.push('λ');
+            } else {
+                model.push(filler[k % filler.len()] as char);
+            }
+        }
+        let mut obj = JsonObject::new();
+        obj.str("cmd", "solve").str("model", &model);
+        let line = obj.close();
+
+        let t0 = std::time::Instant::now();
+        let parsed = parse(&line).unwrap();
+        let elapsed = t0.elapsed();
+        assert_eq!(
+            parsed.get("model").and_then(Json::as_str),
+            Some(model.as_str())
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "decoding {} bytes took {elapsed:?}",
+            line.len()
+        );
+    }
+
+    use proptest::prelude::*;
+
+    /// One character from ASCII, `"`, `\`, control characters, or the
+    /// 2-, 3- and 4-byte UTF-8 ranges.
+    fn any_char() -> impl Strategy<Value = char> {
+        (0u32..6, any::<u32>()).prop_map(|(class, r)| {
+            let code = match class {
+                0 => 0x20 + r % 0x60,
+                1 => [0x22, 0x5C][(r % 2) as usize],
+                2 => r % 0x20,
+                3 => 0x80 + r % 0x780,
+                4 => 0x800 + r % 0xD000,
+                _ => 0x10000 + r % 0x100000,
+            };
+            char::from_u32(code).expect("every class is a scalar value")
+        })
+    }
+
+    fn any_string() -> impl Strategy<Value = String> {
+        prop::collection::vec(any_char(), 0..64).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    proptest! {
+        /// Whatever the writer escapes, the reader decodes back unchanged,
+        /// as a key and as a value.
+        #[test]
+        fn strings_round_trip_through_the_writer(s in any_string(), t in any_string()) {
+            let mut obj = JsonObject::new();
+            obj.str(&s, &t);
+            let parsed = parse(&obj.close()).unwrap();
+            prop_assert_eq!(parsed, Json::Obj(vec![(s, Json::Str(t))]));
+        }
+
+        /// A raw control byte inside a string literal is rejected at its
+        /// own byte offset, whatever precedes it.
+        #[test]
+        fn raw_control_bytes_are_rejected_at_their_offset(
+            s in any_string(),
+            t in any_string(),
+            control in 0u8..0x20,
+        ) {
+            let mut head = JsonObject::new();
+            head.str("model", &s);
+            // Drop the closing quote and brace: the literal is still open.
+            let mut line = head.close();
+            line.truncate(line.len() - 2);
+            let offset = line.len();
+            line.push(char::from(control));
+            escape_into(&mut line, &t);
+            line.push_str("\"}");
+            prop_assert_eq!(parse(&line), Err(format!("raw control byte at {offset}")));
+        }
     }
 }

@@ -369,8 +369,9 @@ fn client_gone(stream: &TcpStream) -> bool {
     matches!(stream.peek(&mut probe), Ok(0))
 }
 
-/// The `stats` response body: queue/occupancy gauges plus the latency
-/// histogram's quantiles from the obs registry.
+/// The `stats` response body: queue/occupancy gauges, the serve
+/// counters, and the quantiles of the request latency histogram in
+/// microseconds from the obs registry.
 fn stats_body(admission: &Admission) -> String {
     let mut obj = JsonObject::new();
     obj.u64("queue_depth", admission.depth() as u64)
@@ -387,6 +388,8 @@ fn stats_body(admission: &Admission) -> String {
         "serve.panic_caught",
         "serve.lock_poisoned",
         "serve.client_gone",
+        "serve.kernel_evicted",
+        "serve.model_parsed",
         "store.invalid",
     ] {
         let value = report
@@ -399,11 +402,11 @@ fn stats_body(admission: &Admission) -> String {
     if let Some(h) = report
         .histograms
         .iter()
-        .find(|h| h.name == "serve.latency_ms")
+        .find(|h| h.name == "serve.latency_us")
     {
-        obj.u64("latency_p50_ms", h.p50)
-            .u64("latency_p90_ms", h.p90)
-            .u64("latency_p99_ms", h.p99);
+        obj.u64("latency_p50_us", h.p50)
+            .u64("latency_p90_us", h.p90)
+            .u64("latency_p99_us", h.p99);
     }
     obj.close()
 }

@@ -4,7 +4,13 @@
 //! A worker owns nothing; everything warm is in [`Shared`] — the
 //! on-disk artifact store (crash-safe, advisory-locked) plus an
 //! in-memory cache of compiled kernels keyed by lump-stage content key,
-//! so concurrent requests for the same model share one compile.
+//! so repeated requests for the same model share one compile. The
+//! kernel cache holds at most `KERNEL_CACHE_CAPACITY` kernels and evicts
+//! the least recently used, so the daemon's memory does not grow with
+//! the number of distinct models it has served.
+//!
+//! The model text is parsed only when the build stage misses: the stage
+//! is keyed by the hash of the text, so a store hit needs no parse.
 //!
 //! Isolation: [`run_job`] wraps the whole solve in `catch_unwind`, so a
 //! panicking request (bug, or the `serve.request=panic` failpoint)
@@ -16,7 +22,6 @@
 //! internal error, `sleep:DUR` → deadline pressure, `panic` → the
 //! catch_unwind path).
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -38,6 +43,12 @@ use crate::recover;
 /// How often checkpoint sinks snapshot long solves (iterations).
 const CHECKPOINT_EVERY: usize = 256;
 
+/// Compiled kernels held in memory at most. Past it the least recently
+/// used kernel is dropped (counted on `serve.kernel_evicted`); a later
+/// request for its model maps the kernel image back from the store, or
+/// recompiles without one.
+const KERNEL_CACHE_CAPACITY: usize = 64;
+
 /// State shared by every worker: the artifact store and the in-memory
 /// kernel cache. Cheap to share behind one `Arc`.
 #[derive(Debug)]
@@ -53,7 +64,36 @@ pub struct Shared {
     pub max_deadline: Option<Duration>,
     /// Compiled kernels by lump-stage key: requests for the same model
     /// and lumping share one compiled product without touching disk.
-    kernels: Mutex<HashMap<u64, Arc<CompiledMdMatrix>>>,
+    kernels: Mutex<KernelCache>,
+}
+
+/// The in-memory kernel cache: at most [`KERNEL_CACHE_CAPACITY`]
+/// kernels by lump-stage key, least recently used first.
+#[derive(Debug, Default)]
+struct KernelCache {
+    entries: Vec<(u64, Arc<CompiledMdMatrix>)>,
+}
+
+impl KernelCache {
+    /// The kernel under `key`, which becomes the most recently used.
+    fn get(&mut self, key: u64) -> Option<Arc<CompiledMdMatrix>> {
+        let at = self.entries.iter().position(|(k, _)| *k == key)?;
+        let entry = self.entries.remove(at);
+        let kernel = entry.1.clone();
+        self.entries.push(entry);
+        Some(kernel)
+    }
+
+    /// Holds `kernel` under `key` as the most recently used, evicting
+    /// the least recently used kernel when the cache is full.
+    fn insert(&mut self, key: u64, kernel: Arc<CompiledMdMatrix>) {
+        self.entries.retain(|(k, _)| *k != key);
+        if self.entries.len() == KERNEL_CACHE_CAPACITY {
+            self.entries.remove(0);
+            mdl_obs::counter("serve.kernel_evicted").inc();
+        }
+        self.entries.push((key, kernel));
+    }
 }
 
 impl Shared {
@@ -69,7 +109,7 @@ impl Shared {
             solve_threads: solve_threads.max(1),
             default_deadline,
             max_deadline,
-            kernels: Mutex::new(HashMap::new()),
+            kernels: Mutex::new(KernelCache::default()),
         }
     }
 
@@ -86,7 +126,7 @@ impl Shared {
 
     /// Number of kernels currently held warm in memory.
     pub fn warm_kernels(&self) -> usize {
-        recover(&self.kernels).len()
+        recover(&self.kernels).entries.len()
     }
 }
 
@@ -110,7 +150,7 @@ pub fn run_job(shared: &Shared, job: &Job) -> Response {
     };
     let elapsed = t0.elapsed();
     mdl_obs::counter("serve.requests").inc();
-    mdl_obs::histogram("serve.latency_ms").record(elapsed.as_millis() as u64);
+    mdl_obs::histogram("serve.latency_us").record(elapsed.as_micros() as u64);
     match &response {
         Response::Ok(_) => mdl_obs::counter("serve.ok").inc(),
         Response::Error { kind, .. } => {
@@ -149,9 +189,10 @@ fn error_response(e: CliError) -> Response {
     }
 }
 
-/// The staged solve itself: parse → build → lump → compile → solve →
-/// measure, mirroring the one-shot CLI's orchestration so results are
-/// bit-identical with it for the same model and measure.
+/// The staged solve itself: build (parsing the model on a miss) →
+/// lump → compile → solve → measure, mirroring the one-shot CLI's
+/// orchestration so results are bit-identical with it for the same model
+/// and measure.
 fn execute(shared: &Shared, params: &SolveParams, cancel: &CancelToken, t0: Instant) -> Response {
     if let Some(injection) = mdl_obs::failpoint::hit("serve.request") {
         let _ = injection;
@@ -160,15 +201,6 @@ fn execute(shared: &Shared, params: &SolveParams, cancel: &CancelToken, t0: Inst
             detail: "injected request failure (failpoint serve.request)".into(),
         };
     }
-    let parsed = match mdl_cli::parse_model(&params.model) {
-        Ok(p) => p,
-        Err(e) => {
-            return Response::Error {
-                kind: ErrorKind::BadRequest,
-                detail: format!("model: {e}"),
-            }
-        }
-    };
     // The deadline budget; the client-disconnect token is layered on
     // via the request builders' `cancelled_by` so every phase (lump,
     // compile, solve) observes both.
@@ -184,7 +216,17 @@ fn execute(shared: &Shared, params: &SolveParams, cancel: &CancelToken, t0: Inst
         None => Pipeline::new(model_key),
     };
 
+    // The build stage is keyed by the hash of the model text, so only a
+    // miss parses it. A parse failure leaves the closure as the
+    // bad-request detail; a failed build is never stored.
+    let mut bad_model = None;
     let built = match pipeline.build(|| {
+        mdl_obs::counter("serve.model_parsed").inc();
+        let parsed = mdl_cli::parse_model(&params.model).map_err(|e| {
+            let detail = format!("model: {e}");
+            bad_model = Some(detail.clone());
+            mdl_core::CoreError::Build { detail }
+        })?;
         parsed.build().map_err(|e| match e {
             mdl_models::ModelError::Core(c) => c,
             other => mdl_core::CoreError::Build {
@@ -193,7 +235,15 @@ fn execute(shared: &Shared, params: &SolveParams, cancel: &CancelToken, t0: Inst
         })
     }) {
         Ok(b) => b,
-        Err(e) => return error_response(e.into()),
+        Err(e) => {
+            return match bad_model {
+                Some(detail) => Response::Error {
+                    kind: ErrorKind::BadRequest,
+                    detail,
+                },
+                None => error_response(e.into()),
+            }
+        }
     };
 
     // A bounds request takes its own path: a tolerance lump that records
@@ -358,7 +408,7 @@ fn solve_lumped(
     // mmap(2) region through the daemon store's mapping cache), then
     // a fresh compile. A compile failure under the fallback ladder is
     // survivable — the walk/flat-CSR rungs need no kernel.
-    let cached_kernel = recover(&shared.kernels).get(&lumped_mrp.key).cloned();
+    let cached_kernel = recover(&shared.kernels).get(lumped_mrp.key);
     let (prebuilt, kernel_warm) = match cached_kernel {
         Some(k) => {
             mdl_obs::counter("serve.kernel_memory_hit").inc();
@@ -501,15 +551,164 @@ mod tests {
         }
     }
 
+    /// A scratch store directory, removed when dropped.
+    struct TempStore(std::path::PathBuf);
+
+    impl TempStore {
+        fn new(tag: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("mdl-serve-worker-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            TempStore(dir)
+        }
+
+        fn shared(&self) -> Shared {
+            Shared::new(Some(Store::open(&self.0).unwrap()), 1, None, None)
+        }
+    }
+
+    impl Drop for TempStore {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// The example model with its toggle rate nudged: a distinct model
+    /// text, hence a distinct build key and kernel, for every `i`.
+    fn variant(i: usize) -> String {
+        MODEL.replace(
+            "event toggle rate 0.2",
+            &format!("event toggle rate {}", 0.2 + i as f64 / 1024.0),
+        )
+    }
+
+    fn solve_ok(shared: &Shared, model: &str) -> OkBody {
+        let (job, _rx) = job_for(solve_params(model));
+        match run_job(shared, &job) {
+            Response::Ok(body) => body,
+            other => panic!("expected ok, got {other:?}"),
+        }
+    }
+
     #[test]
     fn malformed_model_is_a_bad_request_error() {
         let _guard = mdl_obs::testing::guard();
+        mdl_obs::set_enabled(true);
         mdl_obs::failpoint::clear();
-        let (job, _rx) = job_for(solve_params("component only-half"));
-        match run_job(&shared(), &job) {
-            Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::BadRequest),
-            other => panic!("expected error, got {other:?}"),
+        let bad = "component only-half";
+        let expected = format!("model: {}", mdl_cli::parse_model(bad).unwrap_err());
+        let parsed = mdl_obs::counter("serve.model_parsed");
+        let temp = TempStore::new("malformed");
+        // Without and with a store, first and second request: the same
+        // detail each time, and a parse each time, since a failed build
+        // is never stored for a later request to hit.
+        for shared in [shared(), temp.shared()] {
+            for _ in 0..2 {
+                let before = parsed.get();
+                let (job, _rx) = job_for(solve_params(bad));
+                match run_job(&shared, &job) {
+                    Response::Error { kind, detail } => {
+                        assert_eq!(kind, ErrorKind::BadRequest);
+                        assert_eq!(detail, expected);
+                    }
+                    other => panic!("expected error, got {other:?}"),
+                }
+                assert_eq!(parsed.get() - before, 1);
+            }
         }
+    }
+
+    #[test]
+    fn store_hits_skip_the_model_parse() {
+        let _guard = mdl_obs::testing::guard();
+        mdl_obs::set_enabled(true);
+        mdl_obs::failpoint::clear();
+        let temp = TempStore::new("deferred-parse");
+        let shared = temp.shared();
+        let parsed = mdl_obs::counter("serve.model_parsed");
+
+        let before = parsed.get();
+        let cold = solve_ok(&shared, MODEL);
+        assert_eq!(parsed.get() - before, 1);
+        assert!(!cold.warm);
+
+        let before = parsed.get();
+        let warm = solve_ok(&shared, MODEL);
+        assert_eq!(parsed.get() - before, 0, "a store hit parses no model text");
+        assert!(warm.warm);
+        assert_eq!(warm.measure.to_bits(), cold.measure.to_bits());
+    }
+
+    #[test]
+    fn kernel_cache_evicts_the_least_recently_used_past_its_capacity() {
+        let _guard = mdl_obs::testing::guard();
+        mdl_obs::set_enabled(true);
+        mdl_obs::failpoint::clear();
+        let shared = shared();
+        let evicted = mdl_obs::counter("serve.kernel_evicted");
+        let memory_hits = mdl_obs::counter("serve.kernel_memory_hit");
+        let before = evicted.get();
+        let first: Vec<f64> = (0..KERNEL_CACHE_CAPACITY + 3)
+            .map(|i| solve_ok(&shared, &variant(i)).measure)
+            .collect();
+        assert_eq!(shared.warm_kernels(), KERNEL_CACHE_CAPACITY);
+        assert_eq!(evicted.get() - before, 3);
+
+        // The oldest model lost its kernel: it is recompiled, and answers
+        // bit-identically.
+        let hits = memory_hits.get();
+        let again = solve_ok(&shared, &variant(0));
+        assert_eq!(
+            memory_hits.get(),
+            hits,
+            "an evicted kernel is no memory hit"
+        );
+        assert_eq!(again.measure.to_bits(), first[0].to_bits());
+        assert_eq!(shared.warm_kernels(), KERNEL_CACHE_CAPACITY);
+    }
+
+    #[test]
+    fn a_memory_hit_refreshes_the_kernels_recency() {
+        let _guard = mdl_obs::testing::guard();
+        mdl_obs::set_enabled(true);
+        mdl_obs::failpoint::clear();
+        let shared = shared();
+        let memory_hits = mdl_obs::counter("serve.kernel_memory_hit");
+        for i in 0..KERNEL_CACHE_CAPACITY {
+            solve_ok(&shared, &variant(i));
+        }
+        // Model 0 is asked again between newer ones, so model 1 is the
+        // least recently used when the next new model arrives.
+        let hits = memory_hits.get();
+        solve_ok(&shared, &variant(0));
+        solve_ok(&shared, &variant(KERNEL_CACHE_CAPACITY));
+        solve_ok(&shared, &variant(0));
+        assert_eq!(memory_hits.get() - hits, 2, "model 0 kept its kernel");
+        let hits = memory_hits.get();
+        solve_ok(&shared, &variant(1));
+        assert_eq!(memory_hits.get(), hits, "model 1 was evicted");
+    }
+
+    #[test]
+    fn an_evicted_kernel_is_restored_from_its_store_image() {
+        let _guard = mdl_obs::testing::guard();
+        mdl_obs::set_enabled(true);
+        mdl_obs::failpoint::clear();
+        let temp = TempStore::new("evicted");
+        let shared = temp.shared();
+        let memory_hits = mdl_obs::counter("serve.kernel_memory_hit");
+        let cold = solve_ok(&shared, &variant(0));
+        for i in 1..=KERNEL_CACHE_CAPACITY {
+            solve_ok(&shared, &variant(i));
+        }
+        let hits = memory_hits.get();
+        let warm = solve_ok(&shared, &variant(0));
+        assert_eq!(memory_hits.get(), hits, "model 0 was evicted from memory");
+        assert!(
+            warm.warm,
+            "every stage, the kernel too, came from the store"
+        );
+        assert_eq!(warm.measure.to_bits(), cold.measure.to_bits());
     }
 
     #[test]

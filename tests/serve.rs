@@ -163,6 +163,50 @@ fn ping_stats_and_protocol_shutdown_round_trip() {
 }
 
 #[test]
+fn stats_count_model_parses_and_report_latency_in_microseconds() {
+    let _guard = mdl_obs::testing::guard();
+    mdl_obs::failpoint::clear();
+    let dir = temp_dir("stats");
+    let server = start(ServerConfig {
+        cache_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let mut c = connect(&server);
+    let stats = |c: &mut Client| {
+        let reply = assert_trichotomy(&c.request(r#"{"cmd":"stats"}"#).unwrap());
+        reply.get("stats").expect("stats body").clone()
+    };
+    let field = |body: &Json, key: &str| {
+        body.get(key)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("stats has no {key}: {body:?}"))
+    };
+
+    let before = stats(&mut c);
+    let line = SolveLine::new(EXAMPLE_MODEL).build();
+    for _ in 0..2 {
+        let reply = assert_trichotomy(&c.request(&line).unwrap());
+        assert_eq!(reply.get("status").and_then(Json::as_str), Some("ok"));
+    }
+    let after = stats(&mut c);
+    // The repeat was a store hit on the build stage: one parse, not two.
+    assert_eq!(
+        field(&after, "serve_model_parsed") - field(&before, "serve_model_parsed"),
+        1
+    );
+    assert_eq!(
+        field(&after, "serve_kernel_evicted"),
+        field(&before, "serve_kernel_evicted")
+    );
+    // Sub-millisecond requests still show: latency is in microseconds.
+    assert!(field(&after, "latency_p50_us") > 0);
+    assert!(after.get("latency_p50_ms").is_none());
+    drop(c);
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn successful_solves_match_the_library_bit_for_bit() {
     let _guard = mdl_obs::testing::guard();
     mdl_obs::failpoint::clear();
