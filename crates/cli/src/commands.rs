@@ -1,20 +1,26 @@
-//! Implementations of the `info`, `lump` and `solve` subcommands; `main`
-//! only parses arguments and prints.
+//! Implementations of the `info`, `lump`, `solve`, `sweep` and
+//! `simulate` subcommands; `main` only parses arguments and prints.
+//! `solve` runs the shared request executor ([`crate::executor`]) and
+//! formats its [`Answer`](crate::executor::Answer).
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use mdl_core::{
-    CoreError, KernelKind, KernelOptions, LumpKind, LumpRequest, LumpResult, MdMrp, Pipeline,
-    SolveOutcome, SolveRequest, Staged,
+    KernelKind, KernelOptions, LumpKind, LumpRequest, LumpResult, MdMrp, Pipeline, SolveOutcome,
+    SolveRequest, Staged,
 };
-use mdl_ctmc::{BoundsOptions, RunReport, SolverOptions, TransientOptions};
-use mdl_linalg::{Interval, Tolerance};
+use mdl_ctmc::SolverOptions;
+use mdl_linalg::Tolerance;
 use mdl_obs::Budget;
 
 use crate::error::CliError;
+use crate::executor::{answer, expected_reward, request_for, scalar, solver_options, Query};
 use crate::flags::ResilienceFlags;
 use crate::parser::ParsedModel;
+
+pub use crate::executor::{certified_bounds, CertifiedBounds};
+pub use mdl_core::Measure;
 
 /// The wall-clock budget for a command: a deadline when one was given on
 /// the command line, unlimited otherwise.
@@ -25,90 +31,12 @@ fn budget_for(deadline: Option<Duration>) -> Budget {
     }
 }
 
-/// Which measure `solve` computes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Measure {
-    /// Steady-state expected reward.
-    Stationary,
-    /// Expected reward at time `t`.
-    Transient(f64),
-    /// Expected reward accumulated over `[0, t]`.
-    Accumulated(f64),
-}
-
-/// Everything `solve` needs from the staged pipeline: the engine itself
-/// (with or without an attached artifact store) plus the
-/// checkpoint/resume options riding on its store.
-#[derive(Debug, Clone)]
-pub struct SolveSetup {
-    /// The staged pipeline the solve runs through.
-    pub pipeline: Pipeline,
-    /// `Some(n)`: snapshot long solves into the pipeline's store every
-    /// `n` iterations (stationary) or uniformization steps (transient).
-    pub checkpoint_every: Option<usize>,
-    /// Resume from the snapshot of a previous interrupted run, when one
-    /// exists under the solve's key.
-    pub resume: bool,
-    /// The lumping comparison tolerance (`--tolerance exact|N`): how
-    /// close rates must be to be grouped. The default, nine decimal
-    /// digits, absorbs only floating-point noise; looser settings lump
-    /// near-symmetric models and `--bounds` certifies the consequences.
-    pub tolerance: Tolerance,
-}
-
-impl SolveSetup {
-    /// A setup without persistence: every stage computes, checkpointing
-    /// is off, the lump tolerance is the library default.
-    pub fn ephemeral(model_key: u64) -> Self {
-        SolveSetup {
-            pipeline: Pipeline::new(model_key),
-            checkpoint_every: None,
-            resume: false,
-            tolerance: Tolerance::default(),
-        }
-    }
-}
-
 /// Runs the pipeline's build stage for the parsed model, carrying
-/// model-layer failures through as [`CoreError::Build`] (whose `Display`
-/// is the original message, so CLI output is unchanged).
+/// model-layer failures through as [`mdl_core::CoreError::Build`]
+/// (whose `Display` is the original message, so CLI output is
+/// unchanged).
 fn build_stage(pipeline: &Pipeline, parsed: &ParsedModel) -> Result<Staged<MdMrp>, CliError> {
-    pipeline
-        .build(|| {
-            parsed.build().map_err(|e| match e {
-                mdl_models::ModelError::Core(c) => c,
-                other => CoreError::Build {
-                    detail: other.to_string(),
-                },
-            })
-        })
-        .map_err(CliError::from)
-}
-
-/// The stationary-solver options every `solve` path shares.
-fn solver_options(budget: &Budget) -> SolverOptions {
-    SolverOptions {
-        tolerance: 1e-12,
-        budget: budget.clone(),
-        ..SolverOptions::default()
-    }
-}
-
-/// The uniformization options every `solve` path shares.
-fn transient_options(budget: &Budget) -> TransientOptions {
-    TransientOptions {
-        budget: budget.clone(),
-        ..TransientOptions::default()
-    }
-}
-
-/// The single scalar a measure stage stored. Defensive rather than
-/// indexed: a damaged cache must never panic the CLI.
-fn scalar(values: &[f64]) -> Result<f64, CliError> {
-    values
-        .first()
-        .copied()
-        .ok_or_else(|| CliError::Failed("cached measure artifact is empty".into()))
+    Ok(pipeline.build(|| Ok(parsed.build()?))?)
 }
 
 /// `info`: structural description of the model and its symbolic
@@ -231,445 +159,141 @@ pub fn lump(
     Ok(out)
 }
 
-/// The [`SolveRequest`] for `measure` with the shared CLI options
-/// applied (fallback still off — callers enable it when asked to).
-fn request_for(
-    measure: Measure,
-    sopts: &SolverOptions,
-    topts: &TransientOptions,
-    kernel: &KernelOptions,
-) -> SolveRequest {
-    let request = match measure {
-        Measure::Stationary => SolveRequest::stationary(),
-        Measure::Transient(t) => SolveRequest::transient(t),
-        Measure::Accumulated(t) => SolveRequest::accumulated_reward(t),
-    };
-    request
-        .solver_options(sopts.clone())
-        .transient_options(topts.clone())
-        .kernel(kernel.kind)
-        .threads(kernel.threads)
-}
-
-/// The expected reward a solve outcome denotes: the scalar itself, or
-/// the distribution dotted with `mrp`'s reward vector.
-fn expected_reward(mrp: &MdMrp, outcome: SolveOutcome) -> Result<f64, CliError> {
-    match outcome {
-        SolveOutcome::Distribution(sol) => Ok(sol.try_expected_reward(&mrp.reward_vector())?),
-        SolveOutcome::Value(v) => Ok(v),
-    }
-}
-
-/// Solves the measure on an exact lump through its embedded exit-rate
-/// measures (the exact path has no kernel or fallback ladder), cached as
-/// a measure stage under the lump's key.
-fn solve_exact(
-    pipeline: &Pipeline,
-    lumped: &Staged<LumpResult>,
-    measure: Measure,
-    budget: &Budget,
-) -> Result<f64, CliError> {
-    let label = format!("exact:{measure:?}");
-    let staged = pipeline
-        .measure(lumped.key, &label, || {
-            let measures = lumped
-                .value
-                .exact_measures()
-                .expect("exact lump has exit rates");
-            let sopts = solver_options(budget);
-            let topts = transient_options(budget);
-            let value = match measure {
-                Measure::Stationary => measures.expected_stationary_reward(&sopts)?,
-                Measure::Transient(t) => measures.expected_transient_reward(t, &topts)?,
-                Measure::Accumulated(t) => measures.expected_accumulated_reward(t, &topts)?,
-            };
-            Ok(vec![value])
-        })
-        .map_err(CliError::from)?;
-    scalar(&staged.value)
-}
-
 /// Cross-checks the lumped measure against the unlumped chain, cached as
 /// a measure stage under the build key so a warm run skips the (much
 /// larger) unlumped solve too.
-fn cross_check(
-    pipeline: &Pipeline,
-    built: &Staged<MdMrp>,
-    measure: Measure,
-    kernel: &KernelOptions,
-    budget: &Budget,
-) -> Result<f64, CliError> {
-    let label = format!("cross-check:{measure:?}");
-    let staged = pipeline
-        .measure(built.key, &label, || {
-            let sopts = solver_options(budget);
-            let topts = transient_options(budget);
-            let (outcome, _) = request_for(measure, &sopts, &topts, kernel).run(&built.value);
-            let value = match outcome? {
-                SolveOutcome::Distribution(sol) => {
-                    sol.try_expected_reward(&built.value.reward_vector())?
-                }
-                SolveOutcome::Value(v) => v,
-            };
-            Ok(vec![value])
-        })
-        .map_err(CliError::from)?;
+fn cross_check(pipeline: &Pipeline, built: &Staged<MdMrp>, query: &Query) -> Result<f64, CliError> {
+    let label = format!("cross-check:{:?}", query.measure);
+    let staged = pipeline.measure(built.key, &label, || {
+        let (outcome, _) =
+            request_for(query.measure, &query.kernel, &query.budget).run(&built.value);
+        let value = match outcome? {
+            SolveOutcome::Distribution(sol) => {
+                sol.try_expected_reward(&built.value.reward_vector())?
+            }
+            SolveOutcome::Value(v) => v,
+        };
+        Ok(vec![value])
+    })?;
     scalar(&staged.value)
 }
 
-/// `solve`: run the staged pipeline — build, lump, compile the kernel,
-/// solve the lumped chain, report the measure (with a cross-check
-/// against the unlumped chain when it is small enough). With a cache
-/// directory every stage persists its artifacts and a repeated solve is
-/// pure cache hits.
+/// `solve`: build the model, answer `query` through the shared
+/// executor — lump, then a scalar solve of the lumped chain or a
+/// certified enclosure `[lo, hi]` of its measure under tolerance
+/// lumping (see [`certified_bounds`]) — and report the measure, with a
+/// cross-check against the unlumped chain when it has at most
+/// `cross_check_limit` states. With a cache directory every stage
+/// persists its artifacts and a repeated solve is pure cache hits.
 ///
-/// With `--fallback` the lumped chain solves through the resilient
-/// `(method, kernel)` ladder; `--report` appends the per-attempt log;
-/// `--deadline` bounds the whole run (lump, compile, solve,
-/// cross-check). `setup` carries the pipeline plus checkpoint/resume:
-/// with `checkpoint_every`, stationary and transient solves snapshot
-/// their iterate into the store, and with `resume` an interrupted solve
-/// continues from its snapshot (the snapshot is cleared on success).
+/// `report` appends the attempt log: the fallback ladder's, or the
+/// bounds sweeps'.
 ///
 /// # Errors
 ///
-/// Propagates build, lumping and solver errors as [`CliError`]s; budget
-/// interruptions surface as [`CliError::Interrupted`].
-pub fn solve(
-    parsed: &ParsedModel,
-    kind: LumpKind,
-    measure: Measure,
-    cross_check_limit: usize,
-    kernel: &KernelOptions,
-    resilience: &ResilienceFlags,
-    setup: &SolveSetup,
-) -> Result<String, CliError> {
-    let pipeline = &setup.pipeline;
-    let budget = resilience.budget();
-    let built = build_stage(pipeline, parsed)?;
-    let lump_request = LumpRequest::new(kind)
-        .tolerance(setup.tolerance)
-        .threads(kernel.threads)
-        .budget(budget.clone());
-    let lumped = pipeline
-        .lump(&built, &lump_request)
-        .map_err(CliError::from)?;
-    let mut out = String::new();
-    writeln!(
-        out,
-        "lumped {} -> {} states; solving the lumped chain",
-        lumped.value.stats.original_states, lumped.value.stats.lumped_states
-    )?;
-
-    let (lumped_value, report) = if kind == LumpKind::Exact {
-        (solve_exact(pipeline, &lumped, measure, &budget)?, None)
-    } else {
-        // The lumped MRP re-staged under the lump key: the input to the
-        // kernel-compile and solve stages.
-        let lumped_mrp = Staged {
-            value: lumped.value.mrp.clone(),
-            key: lumped.key,
-            cached: lumped.cached,
-        };
-        let mut sopts = solver_options(&budget);
-        let mut topts = transient_options(&budget);
-        // The solve key ignores checkpoint sinks, warm starts and
-        // prebuilt kernels, so it can be derived before they are wired.
-        let base = request_for(measure, &sopts, &topts, kernel).fallback(resilience.fallback);
-        let solve_key = pipeline.solve_key(lumped_mrp.key, &base);
-        if let Some(every) = setup.checkpoint_every {
-            match measure {
-                Measure::Stationary => {
-                    sopts.checkpoint = pipeline.stationary_checkpoint_sink(solve_key, every);
-                }
-                Measure::Transient(_) => {
-                    topts.checkpoint = pipeline.transient_checkpoint_sink(solve_key, every);
-                }
-                // The accumulated-reward scalar has no snapshot form.
-                Measure::Accumulated(_) => {}
-            }
-        }
-        if setup.resume {
-            if let Some(ck) = pipeline.load_checkpoint(solve_key) {
-                writeln!(
-                    out,
-                    "resuming from checkpoint ({} iterations in)",
-                    ck.iterations
-                )?;
-                match measure {
-                    Measure::Stationary => sopts.warm_start = Some(ck.iterate),
-                    Measure::Transient(_) => {
-                        topts.resume_from = mdl_core::transient_resume(&ck);
-                    }
-                    Measure::Accumulated(_) => {}
-                }
-            }
-        }
-
-        // Compile (or restore) the kernel whenever a compiled product
-        // may run. A compile failure under --fallback is not fatal — the
-        // ladder degrades through the walk and flat-CSR rungs.
-        let wants_kernel = kernel.kind == KernelKind::Compiled || resilience.fallback;
-        let prebuilt = if wants_kernel {
-            match pipeline.compile(&lumped_mrp, kernel.threads, &budget) {
-                Ok(staged) => Some(staged.value),
-                Err(_) if resilience.fallback => {
-                    mdl_obs::counter("pipeline.compile.failed").inc();
-                    None
-                }
-                Err(e) => return Err(e.into()),
-            }
-        } else {
-            None
-        };
-        let mut request =
-            request_for(measure, &sopts, &topts, kernel).fallback(resilience.fallback);
-        if let Some(k) = prebuilt {
-            request = request.prebuilt_kernel(k);
-        }
-        let (outcome, run_report) = pipeline.solve(&lumped_mrp, &request);
-        let staged = outcome.map_err(CliError::from)?;
-        let value = expected_reward(&lumped_mrp.value, staged.value)?;
-        // The solve finished: its checkpoint (if any) must not be
-        // replayed by a later --resume.
-        if setup.checkpoint_every.is_some() || setup.resume {
-            pipeline
-                .clear_checkpoint(solve_key)
-                .map_err(CliError::from)?;
-        }
-        (value, resilience.fallback.then_some(run_report))
-    };
-    writeln!(out, "measure ({measure:?}): {lumped_value:.10}")?;
-    if resilience.report {
-        writeln!(
-            out,
-            "max rate deviation absorbed by lumping: {:.3e}",
-            lumped.value.stats.max_rate_deviation
-        )?;
-        match &report {
-            Some(r) => out.push_str(&r.render()),
-            None => writeln!(
-                out,
-                "no fallback ladder for this configuration; solved directly"
-            )?,
-        }
-    }
-
-    if built.value.num_states() <= cross_check_limit {
-        let full_value = cross_check(pipeline, &built, measure, kernel, &budget)?;
-        writeln!(
-            out,
-            "cross-check (unlumped chain): {full_value:.10}  |Δ| = {:.3e}",
-            (full_value - lumped_value).abs()
-        )?;
-    }
-    Ok(out)
-}
-
-/// The raw outcome of a certified-bounds computation, before any
-/// formatting: what `solve --bounds` prints and what tests assert on
-/// (the formatted interval loses the low-order bits the degenerate-path
-/// bit-identity guarantee is about).
-#[derive(Debug)]
-pub struct CertifiedBounds {
-    /// The tolerance lump whose quotient the sweeps ran on, carrying the
-    /// rate envelope and `stats.max_rate_deviation`.
-    pub lump: LumpResult,
-    /// `true` when every transition lumped exactly: the envelope is
-    /// empty, the credal box collapses to the single scalar chain, and
-    /// `bounds` is the degenerate interval `[x, x]` of the scalar solve.
-    pub degenerate: bool,
-    /// The certified enclosure of the measure.
-    pub bounds: Interval,
-    /// Whether the sweeps reached their tolerance (always `true` on the
-    /// degenerate path). Unconverged bounds are still certified, just
-    /// looser than requested.
-    pub converged: bool,
-    /// The per-sweep attempt log.
-    pub report: RunReport,
-}
-
-/// Computes a certified enclosure `[lo, hi]` of the measure under
-/// tolerance lumping. The lump records a rate envelope — per lumped
-/// transition, the hull of the member rates each stored coefficient
-/// stands in for — and the enclosure is computed by lower/upper power
-/// sweeps over the interval-weighted compiled kernel (outward-rounded
-/// arithmetic end to end), so every CTMC whose rates lie inside the
-/// envelope, including the unlumped chain, has its measure inside the
-/// returned interval.
-///
-/// # Errors
-///
-/// Accumulated rewards are rejected (the certified sweeps cover
-/// stationary and transient measures); lumping and solver failures
-/// propagate as [`CliError`]s; an expired budget surfaces as
-/// [`CliError::Interrupted`].
-pub fn certified_bounds(
-    mrp: &MdMrp,
-    measure: Measure,
-    tolerance: Tolerance,
-    kernel: &KernelOptions,
-    budget: &Budget,
-) -> Result<CertifiedBounds, CliError> {
-    let time_point = match measure {
-        Measure::Stationary => None,
-        Measure::Transient(t) => Some(t),
-        Measure::Accumulated(_) => {
-            return Err(CliError::Failed(
-                "--bounds supports the stationary and --transient measures \
-                 (accumulated rewards have no certified sweep)"
-                    .into(),
-            ))
-        }
-    };
-    // Envelopes are not persisted (the lump cache stores only the
-    // quotient), so the bounds path lumps directly: a single pass with
-    // quasi-reduction off — the configuration whose `(level, node)`
-    // keying the envelope certifies.
-    let lump = LumpRequest::new(LumpKind::Ordinary)
-        .tolerance(tolerance)
-        .threads(kernel.threads)
-        .budget(budget.clone())
-        .run(mrp)
-        .map_err(CliError::from)?;
-    // A `--tolerance exact` run compares rates bitwise and records no
-    // envelope: every merge was exact, so the bounds legitimately
-    // degenerate. A missing envelope under any other tolerance is a bug.
-    let empty_envelope = mdl_core::RateEnvelope::default();
-    let envelope = match (&lump.envelope, tolerance) {
-        (Some(env), _) => env,
-        (None, Tolerance::Exact) => &empty_envelope,
-        (None, _) => {
-            return Err(CliError::Failed(
-                "lump carried no rate envelope (internal error)".into(),
-            ))
-        }
-    };
-
-    if envelope.is_empty() {
-        let sopts = solver_options(budget);
-        let topts = transient_options(budget);
-        let (outcome, report) = request_for(measure, &sopts, &topts, kernel).run(&lump.mrp);
-        let value = expected_reward(&lump.mrp, outcome.map_err(CliError::from)?)?;
-        return Ok(CertifiedBounds {
-            degenerate: true,
-            bounds: Interval::point(value),
-            converged: true,
-            report,
-            lump,
-        });
-    }
-    let ikernel = mdl_md::CompiledMdMatrix::<Interval>::compile_weighted(
-        lump.mrp.matrix(),
-        kernel.threads,
-        budget,
-        &|site| envelope.widen(site),
-    )
-    .map_err(|e| CliError::from(CoreError::Md(e)))?;
-    let f = lump.mrp.reward_vector();
-    let options = BoundsOptions {
-        budget: budget.clone(),
-        ..BoundsOptions::default()
-    };
-    let solution = match time_point {
-        None => mdl_ctmc::stationary_bounds(&ikernel, &f, &options)?,
-        Some(t) => {
-            mdl_ctmc::transient_bounds(&ikernel, &lump.mrp.initial_vector(), &f, t, &options)?
-        }
-    };
-    Ok(CertifiedBounds {
-        degenerate: false,
-        bounds: solution.bounds,
-        converged: solution.stats.converged,
-        report: solution.report,
-        lump,
-    })
-}
-
-/// `solve --bounds`: a certified enclosure `[lo, hi]` of the measure
-/// under tolerance lumping (see [`certified_bounds`] for the
-/// mathematics). When every transition lumped exactly the enclosure
-/// degenerates to the scalar solve itself — `[x, x]`, bit-identical to
-/// the plain `solve` path at any thread count.
-///
-/// # Errors
-///
-/// `--exact` and `--accumulated` are rejected (the certified sweeps
-/// cover stationary and transient measures of the ordinary quotient);
+/// Bounds with exact lumping are rejected before anything runs;
 /// build, lumping and solver failures propagate as [`CliError`]s; an
 /// expired `--deadline` surfaces as [`CliError::Interrupted`].
-pub fn solve_bounds(
+pub fn solve(
     parsed: &ParsedModel,
-    kind: LumpKind,
-    measure: Measure,
+    pipeline: &Pipeline,
+    query: &Query,
+    report: bool,
     cross_check_limit: usize,
-    kernel: &KernelOptions,
-    resilience: &ResilienceFlags,
-    setup: &SolveSetup,
 ) -> Result<String, CliError> {
-    if kind == LumpKind::Exact {
+    if query.bounds && query.kind == LumpKind::Exact {
         return Err(CliError::Failed(
             "--bounds encloses measures of the ordinary-lumped chain; --exact is not supported"
                 .into(),
         ));
     }
-    let pipeline = &setup.pipeline;
-    let budget = resilience.budget();
     let built = build_stage(pipeline, parsed)?;
-    let cb = certified_bounds(&built.value, measure, setup.tolerance, kernel, &budget)?;
+    let a = answer(pipeline, &built, query, Pipeline::compile)?;
+    let measure = query.measure;
     let mut out = String::new();
     writeln!(
         out,
-        "lumped {} -> {} states; computing certified bounds on the lumped chain",
-        cb.lump.stats.original_states, cb.lump.stats.lumped_states
+        "lumped {} -> {} states; {}",
+        a.lump.original_states,
+        a.lump.lumped_states,
+        if query.bounds {
+            "computing certified bounds on the lumped chain"
+        } else {
+            "solving the lumped chain"
+        }
     )?;
-    writeln!(
-        out,
-        "max rate deviation absorbed by lumping: {:.3e}",
-        cb.lump.stats.max_rate_deviation
-    )?;
-    if cb.degenerate {
-        writeln!(
-            out,
-            "every transition lumped exactly; bounds degenerate to the scalar solve"
-        )?;
+    if let Some(iterations) = a.resumed_from {
+        writeln!(out, "resuming from checkpoint ({iterations} iterations in)")?;
     }
-    if !cb.converged {
-        writeln!(
-            out,
-            "sweeps stopped before the tolerance (bounds are certified but loose)"
-        )?;
-    }
-    writeln!(
-        out,
-        "measure ({measure:?}): [{:.10}, {:.10}]  width {:.3e}",
-        cb.bounds.lo,
-        cb.bounds.hi,
-        cb.bounds.hi - cb.bounds.lo
-    )?;
-    if resilience.report {
-        out.push_str(&cb.report.render());
+    let deviation = a.lump.max_rate_deviation;
+    match a.bounds {
+        None => {
+            writeln!(out, "measure ({measure:?}): {:.10}", a.measure)?;
+            if report {
+                writeln!(
+                    out,
+                    "max rate deviation absorbed by lumping: {deviation:.3e}"
+                )?;
+                if query.fallback && query.kind == LumpKind::Ordinary {
+                    out.push_str(&a.report.render());
+                } else {
+                    writeln!(
+                        out,
+                        "no fallback ladder for this configuration; solved directly"
+                    )?;
+                }
+            }
+        }
+        Some(bounds) => {
+            writeln!(
+                out,
+                "max rate deviation absorbed by lumping: {deviation:.3e}"
+            )?;
+            if a.degenerate {
+                writeln!(
+                    out,
+                    "every transition lumped exactly; bounds degenerate to the scalar solve"
+                )?;
+            }
+            if !a.converged {
+                writeln!(
+                    out,
+                    "sweeps stopped before the tolerance (bounds are certified but loose)"
+                )?;
+            }
+            writeln!(
+                out,
+                "measure ({measure:?}): [{:.10}, {:.10}]  width {:.3e}",
+                bounds.lo,
+                bounds.hi,
+                bounds.hi - bounds.lo
+            )?;
+            if report {
+                out.push_str(&a.report.render());
+            }
+        }
     }
 
     if built.value.num_states() <= cross_check_limit {
-        let full_value = cross_check(pipeline, &built, measure, kernel, &budget)?;
-        if cb.degenerate {
-            // A zero-width interval is the scalar solve; the unlumped
-            // solve differs from it by its own iteration tolerance, so
-            // report the discrepancy like the plain solve path does
-            // rather than a meaningless strict-enclosure verdict.
-            writeln!(
+        let full_value = cross_check(pipeline, &built, query)?;
+        match a.bounds {
+            Some(bounds) if !a.degenerate => {
+                let enclosed = bounds.lo <= full_value && full_value <= bounds.hi;
+                writeln!(
+                    out,
+                    "cross-check (unlumped chain): {full_value:.10}  enclosed: {}",
+                    if enclosed { "yes" } else { "NO" }
+                )?;
+            }
+            // A scalar, or a zero-width interval whose midpoint is the
+            // scalar solve: the unlumped solve differs from it by its
+            // own iteration tolerance, so report the discrepancy rather
+            // than a strict-enclosure verdict.
+            _ => writeln!(
                 out,
                 "cross-check (unlumped chain): {full_value:.10}  |Δ| = {:.3e}",
-                (full_value - cb.bounds.lo).abs()
-            )?;
-        } else {
-            let enclosed = cb.bounds.lo <= full_value && full_value <= cb.bounds.hi;
-            writeln!(
-                out,
-                "cross-check (unlumped chain): {full_value:.10}  enclosed: {}",
-                if enclosed { "yes" } else { "NO" }
-            )?;
+                (full_value - a.measure).abs()
+            )?,
         }
     }
     Ok(out)
@@ -782,21 +406,9 @@ pub fn sweep(
         .sweep(&points, &request, |point| {
             let mut model = parsed.model.clone();
             for (name, value) in &point.params {
-                model.set_event_rate(name, *value).map_err(|e| match e {
-                    mdl_models::ModelError::Core(c) => c,
-                    other => CoreError::Build {
-                        detail: other.to_string(),
-                    },
-                })?;
+                model.set_event_rate(name, *value)?;
             }
-            model
-                .build_md_mrp_with_reach(parsed.reward.clone(), reach.clone())
-                .map_err(|e| match e {
-                    mdl_models::ModelError::Core(c) => c,
-                    other => CoreError::Build {
-                        detail: other.to_string(),
-                    },
-                })
+            Ok(model.build_md_mrp_with_reach(parsed.reward.clone(), reach.clone())?)
         })
         .map_err(CliError::from)?;
 
@@ -915,9 +527,25 @@ mod tests {
     use crate::parser::parse_model;
     use mdl_core::model_source_key;
 
-    /// The default ephemeral setup tests solve through.
-    fn setup() -> SolveSetup {
-        SolveSetup::ephemeral(model_source_key(MODEL))
+    /// The ephemeral pipeline tests solve `MODEL` through.
+    fn pipeline() -> Pipeline {
+        Pipeline::new(model_source_key(MODEL))
+    }
+
+    /// A scalar query for `measure` with every other option at its
+    /// default.
+    fn query(measure: Measure) -> Query {
+        Query {
+            measure,
+            kind: LumpKind::Ordinary,
+            tolerance: Tolerance::default(),
+            bounds: false,
+            fallback: false,
+            kernel: KernelOptions::default(),
+            budget: Budget::unlimited(),
+            checkpoint_every: None,
+            resume: false,
+        }
     }
 
     /// A per-test cache directory under the system temp dir, cleaned
@@ -1053,7 +681,7 @@ reward sum
             false,
             None,
             0,
-            &setup().pipeline,
+            &pipeline(),
         )
         .unwrap();
         // The 8 worker bitmask states lump to 4 counts: 2×8 -> 2×4.
@@ -1065,12 +693,10 @@ reward sum
         let parsed = parse_model(MODEL).unwrap();
         let out = solve(
             &parsed,
-            LumpKind::Ordinary,
-            Measure::Stationary,
+            &pipeline(),
+            &query(Measure::Stationary),
+            false,
             1_000,
-            &KernelOptions::default(),
-            &ResilienceFlags::default(),
-            &setup(),
         )
         .unwrap();
         assert!(out.contains("cross-check"), "{out}");
@@ -1081,35 +707,17 @@ reward sum
 
     #[test]
     fn solve_output_identical_across_kernels() {
-        use mdl_core::{KernelKind, KernelOptions};
         let parsed = parse_model(MODEL).unwrap();
-        let walk = solve(
-            &parsed,
-            LumpKind::Ordinary,
-            Measure::Stationary,
-            1_000,
-            &KernelOptions {
-                kind: KernelKind::Walk,
-                threads: 1,
-            },
-            &ResilienceFlags::default(),
-            &setup(),
-        )
-        .unwrap();
+        let with_kernel = |kind, threads| {
+            let query = Query {
+                kernel: KernelOptions { kind, threads },
+                ..query(Measure::Stationary)
+            };
+            solve(&parsed, &pipeline(), &query, false, 1_000).unwrap()
+        };
+        let walk = with_kernel(KernelKind::Walk, 1);
         for threads in [1usize, 4] {
-            let compiled = solve(
-                &parsed,
-                LumpKind::Ordinary,
-                Measure::Stationary,
-                1_000,
-                &KernelOptions {
-                    kind: KernelKind::Compiled,
-                    threads,
-                },
-                &ResilienceFlags::default(),
-                &setup(),
-            )
-            .unwrap();
+            let compiled = with_kernel(KernelKind::Compiled, threads);
             assert_eq!(walk, compiled, "kernel products are bit-identical");
         }
     }
@@ -1119,26 +727,22 @@ reward sum
         let parsed = parse_model(MODEL).unwrap();
         let direct = solve(
             &parsed,
-            LumpKind::Ordinary,
-            Measure::Stationary,
+            &pipeline(),
+            &query(Measure::Stationary),
+            false,
             1_000,
-            &KernelOptions::default(),
-            &ResilienceFlags::default(),
-            &setup(),
         )
         .unwrap();
+        let fallback = |measure| Query {
+            fallback: true,
+            ..query(measure)
+        };
         let resilient = solve(
             &parsed,
-            LumpKind::Ordinary,
-            Measure::Stationary,
+            &pipeline(),
+            &fallback(Measure::Stationary),
+            true,
             1_000,
-            &KernelOptions::default(),
-            &ResilienceFlags {
-                fallback: true,
-                report: true,
-                deadline: None,
-            },
-            &setup(),
         )
         .unwrap();
         assert!(resilient.contains("solve attempts:"), "{resilient}");
@@ -1155,16 +759,10 @@ reward sum
         // reports its (synthesized) attempt log.
         let accumulated = solve(
             &parsed,
-            LumpKind::Ordinary,
-            Measure::Accumulated(1.0),
+            &pipeline(),
+            &fallback(Measure::Accumulated(1.0)),
+            true,
             0,
-            &KernelOptions::default(),
-            &ResilienceFlags {
-                fallback: true,
-                report: true,
-                deadline: None,
-            },
-            &setup(),
         )
         .unwrap();
         assert!(accumulated.contains("solve attempts:"), "{accumulated}");
@@ -1174,20 +772,11 @@ reward sum
     #[test]
     fn expired_deadline_interrupts_with_distinct_error() {
         let parsed = parse_model(MODEL).unwrap();
-        let err = solve(
-            &parsed,
-            LumpKind::Ordinary,
-            Measure::Stationary,
-            1_000,
-            &KernelOptions::default(),
-            &ResilienceFlags {
-                deadline: Some(Duration::ZERO),
-                fallback: false,
-                report: false,
-            },
-            &setup(),
-        )
-        .unwrap_err();
+        let expired = Query {
+            budget: Budget::unlimited().deadline_in(Duration::ZERO),
+            ..query(Measure::Stationary)
+        };
+        let err = solve(&parsed, &pipeline(), &expired, false, 1_000).unwrap_err();
         assert!(matches!(err, CliError::Interrupted(_)), "{err:?}");
         assert_eq!(err.exit_code(), crate::error::EXIT_INTERRUPTED);
         assert!(err.to_string().contains("interrupted"), "{err}");
@@ -1199,7 +788,7 @@ reward sum
             true,
             Some(Duration::ZERO),
             1,
-            &setup().pipeline,
+            &pipeline(),
         )
         .unwrap_err();
         assert!(matches!(err, CliError::Interrupted(_)), "{err:?}");
@@ -1211,21 +800,14 @@ reward sum
         let dir = cache_dir("warm-solve");
         let store = mdl_store::Store::open(&dir).unwrap();
         let parsed = parse_model(MODEL).unwrap();
-        let warm_setup = || SolveSetup {
-            pipeline: Pipeline::with_store(model_source_key(MODEL), store.clone()),
-            checkpoint_every: None,
-            resume: false,
-            tolerance: Tolerance::default(),
-        };
         let run = || {
+            let pipeline = Pipeline::with_store(model_source_key(MODEL), store.clone());
             solve(
                 &parsed,
-                LumpKind::Ordinary,
-                Measure::Stationary,
+                &pipeline,
+                &query(Measure::Stationary),
+                false,
                 1_000,
-                &KernelOptions::default(),
-                &ResilienceFlags::default(),
-                &warm_setup(),
             )
             .unwrap()
         };
@@ -1259,22 +841,13 @@ reward sum
         let dir = cache_dir("checkpoint");
         let store = mdl_store::Store::open(&dir).unwrap();
         let parsed = parse_model(MODEL).unwrap();
-        let setup = SolveSetup {
-            pipeline: Pipeline::with_store(model_source_key(MODEL), store.clone()),
+        let pipeline = Pipeline::with_store(model_source_key(MODEL), store.clone());
+        let checkpointed = Query {
             checkpoint_every: Some(1),
             resume: true,
-            tolerance: Tolerance::default(),
+            ..query(Measure::Stationary)
         };
-        let out = solve(
-            &parsed,
-            LumpKind::Ordinary,
-            Measure::Stationary,
-            0,
-            &KernelOptions::default(),
-            &ResilienceFlags::default(),
-            &setup,
-        )
-        .unwrap();
+        let out = solve(&parsed, &pipeline, &checkpointed, false, 0).unwrap();
         assert!(out.contains("measure"), "{out}");
         // Snapshots were written during the run…
         let report = mdl_obs::snapshot();
@@ -1286,16 +859,14 @@ reward sum
             .unwrap_or(0);
         assert!(written >= 1, "{report:?}");
         // …and cleared on success, so nothing is left to resume.
-        let base = mdl_core::SolveRequest::stationary()
-            .solver_options(solver_options(&Budget::unlimited()));
+        let base = SolveRequest::stationary().solver_options(solver_options(&Budget::unlimited()));
         // Rebuild the solve key the same way solve() does.
-        let built = build_stage(&setup.pipeline, &parsed).unwrap();
-        let lumped = setup
-            .pipeline
+        let built = build_stage(&pipeline, &parsed).unwrap();
+        let lumped = pipeline
             .lump(&built, &LumpRequest::new(LumpKind::Ordinary))
             .unwrap();
-        let solve_key = setup.pipeline.solve_key(lumped.key, &base);
-        assert!(setup.pipeline.load_checkpoint(solve_key).is_none());
+        let solve_key = pipeline.solve_key(lumped.key, &base);
+        assert!(pipeline.load_checkpoint(solve_key).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1308,7 +879,7 @@ reward sum
             &axes,
             &KernelOptions::default(),
             &ResilienceFlags::default(),
-            &setup().pipeline,
+            &pipeline(),
             None,
         )
         .unwrap();
@@ -1319,16 +890,7 @@ reward sum
         assert!(out.contains("warm"), "{out}");
         // The finish=1.0 point is the base model: its measure must equal
         // the plain solve's measure line.
-        let direct = solve(
-            &parsed,
-            LumpKind::Ordinary,
-            Measure::Stationary,
-            0,
-            &KernelOptions::default(),
-            &ResilienceFlags::default(),
-            &setup(),
-        )
-        .unwrap();
+        let direct = solve(&parsed, &pipeline(), &query(Measure::Stationary), false, 0).unwrap();
         let direct_measure = direct
             .lines()
             .find(|l| l.starts_with("measure"))
@@ -1366,7 +928,7 @@ reward sum
             &[("nope".to_string(), vec![1.0])],
             &KernelOptions::default(),
             &ResilienceFlags::default(),
-            &setup().pipeline,
+            &pipeline(),
             None,
         )
         .unwrap_err();
@@ -1377,7 +939,7 @@ reward sum
             &[],
             &KernelOptions::default(),
             &ResilienceFlags::default(),
-            &setup().pipeline,
+            &pipeline(),
             None,
         )
         .unwrap_err();
@@ -1389,7 +951,7 @@ reward sum
             &[("toggle".to_string(), vec![0.1, 0.2])],
             &KernelOptions::default(),
             &ResilienceFlags::default(),
-            &setup().pipeline,
+            &pipeline(),
             Some(path.to_str().unwrap()),
         )
         .unwrap();
@@ -1428,27 +990,16 @@ reward sum
     #[test]
     fn bounds_reject_exact_and_accumulated() {
         let parsed = parse_model(MODEL).unwrap();
-        let err = solve_bounds(
-            &parsed,
-            LumpKind::Exact,
-            Measure::Stationary,
-            0,
-            &KernelOptions::default(),
-            &ResilienceFlags::default(),
-            &setup(),
-        )
-        .unwrap_err();
+        let bounds = |kind, measure| Query {
+            kind,
+            bounds: true,
+            ..query(measure)
+        };
+        let exact = bounds(LumpKind::Exact, Measure::Stationary);
+        let err = solve(&parsed, &pipeline(), &exact, false, 0).unwrap_err();
         assert!(err.to_string().contains("--exact"), "{err}");
-        let err = solve_bounds(
-            &parsed,
-            LumpKind::Ordinary,
-            Measure::Accumulated(1.0),
-            0,
-            &KernelOptions::default(),
-            &ResilienceFlags::default(),
-            &setup(),
-        )
-        .unwrap_err();
+        let accumulated = bounds(LumpKind::Ordinary, Measure::Accumulated(1.0));
+        let err = solve(&parsed, &pipeline(), &accumulated, false, 0).unwrap_err();
         assert!(err.to_string().contains("certified sweep"), "{err}");
     }
 
@@ -1473,9 +1024,7 @@ reward sum
             );
             // The certified interval encloses the *unlumped* chain's
             // measure — the acceptance property of the whole feature.
-            let sopts = solver_options(&budget);
-            let topts = transient_options(&budget);
-            let (outcome, _) = request_for(measure, &sopts, &topts, &kernel).run(&mrp);
+            let (outcome, _) = request_for(measure, &kernel, &budget).run(&mrp);
             let full = expected_reward(&mrp, outcome.unwrap()).unwrap();
             assert!(
                 cb.bounds.lo <= full && full <= cb.bounds.hi,
@@ -1489,23 +1038,13 @@ reward sum
     #[test]
     fn solve_bounds_reports_enclosure_of_the_unlumped_chain() {
         let parsed = parse_model(NEAR_MODEL).unwrap();
-        let setup = SolveSetup {
+        let near = Query {
             tolerance: Tolerance::Decimals(2),
-            ..SolveSetup::ephemeral(model_source_key(NEAR_MODEL))
+            bounds: true,
+            ..query(Measure::Stationary)
         };
-        let out = solve_bounds(
-            &parsed,
-            LumpKind::Ordinary,
-            Measure::Stationary,
-            1_000,
-            &KernelOptions::default(),
-            &ResilienceFlags {
-                report: true,
-                ..ResilienceFlags::default()
-            },
-            &setup,
-        )
-        .unwrap();
+        let pipeline = Pipeline::new(model_source_key(NEAR_MODEL));
+        let out = solve(&parsed, &pipeline, &near, true, 1_000).unwrap();
         assert!(out.contains("16 -> 8 states"), "{out}");
         assert!(out.contains("max rate deviation"), "{out}");
         assert!(out.contains("enclosed: yes"), "{out}");
@@ -1520,16 +1059,11 @@ reward sum
     #[test]
     fn solve_bounds_degenerates_on_the_exactly_lumpable_model() {
         let parsed = parse_model(MODEL).unwrap();
-        let out = solve_bounds(
-            &parsed,
-            LumpKind::Ordinary,
-            Measure::Stationary,
-            1_000,
-            &KernelOptions::default(),
-            &ResilienceFlags::default(),
-            &setup(),
-        )
-        .unwrap();
+        let bounds = Query {
+            bounds: true,
+            ..query(Measure::Stationary)
+        };
+        let out = solve(&parsed, &pipeline(), &bounds, false, 1_000).unwrap();
         assert!(out.contains("degenerate"), "{out}");
         assert!(out.contains("width 0.0"), "{out}");
         // The degenerate cross-check reports the scalar discrepancy
@@ -1555,11 +1089,8 @@ reward sum
             let budget = Budget::unlimited();
             // The scalar reference: the plain solve path on the quotient.
             let lump = LumpRequest::new(LumpKind::Ordinary).run(&mrp).unwrap();
-            let sopts = solver_options(&budget);
-            let topts = transient_options(&budget);
             let reference = KernelOptions { kind: KernelKind::Compiled, threads: 1 };
-            let (outcome, _) =
-                request_for(Measure::Stationary, &sopts, &topts, &reference).run(&lump.mrp);
+            let (outcome, _) = request_for(Measure::Stationary, &reference, &budget).run(&lump.mrp);
             let scalar = expected_reward(&lump.mrp, outcome.unwrap()).unwrap();
             for threads in [1usize, 2, 4] {
                 let kernel = KernelOptions { kind: KernelKind::Compiled, threads };
@@ -1584,16 +1115,7 @@ reward sum
     fn solve_transient_and_accumulated() {
         let parsed = parse_model(MODEL).unwrap();
         for m in [Measure::Transient(1.5), Measure::Accumulated(3.0)] {
-            let out = solve(
-                &parsed,
-                LumpKind::Ordinary,
-                m,
-                1_000,
-                &KernelOptions::default(),
-                &ResilienceFlags::default(),
-                &setup(),
-            )
-            .unwrap();
+            let out = solve(&parsed, &pipeline(), &query(m), false, 1_000).unwrap();
             assert!(out.contains("measure"), "{out}");
         }
     }

@@ -1,6 +1,7 @@
 //! Library half of the `mdlump-cli` command-line tool: the model-file
-//! parser and the command implementations, kept out of `main.rs` so they
-//! are unit-testable.
+//! parser, the command implementations and the request [`executor`]
+//! that `mdlump-cli solve` and `mdl-serve` share, kept out of `main.rs`
+//! so they are unit-testable.
 //!
 //! # Model file format
 //!
@@ -50,6 +51,7 @@
 
 pub mod commands;
 pub mod error;
+pub mod executor;
 pub mod flags;
 pub mod parser;
 

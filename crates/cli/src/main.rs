@@ -38,6 +38,7 @@ use std::sync::Arc;
 
 use mdl_cli::commands::{self, Measure};
 use mdl_cli::error::CliError;
+use mdl_cli::executor::Query;
 use mdl_cli::flags::{self, MetricsFormat, ObsFlags, ProfileFlags};
 use mdl_cli::parse_model;
 use mdl_core::LumpKind;
@@ -242,33 +243,19 @@ fn run(args: &[String]) -> Result<String, CliError> {
             };
             let kernel = flags::parse_kernel_flags(flag_args)?;
             let resilience = flags::parse_resilience_flags(flag_args)?;
-            let setup = commands::SolveSetup {
-                pipeline: pipeline_for(&pipeline_flags, &input)?,
+            let pipeline = pipeline_for(&pipeline_flags, &input)?;
+            let query = Query {
+                measure,
+                kind,
+                tolerance: flags::flag_tolerance(flag_args)?.unwrap_or_default(),
+                bounds: flag_args.iter().any(|f| f == "--bounds"),
+                fallback: resilience.fallback,
+                kernel,
+                budget: resilience.budget(),
                 checkpoint_every: pipeline_flags.checkpoint_every.map(|n| n as usize),
                 resume: pipeline_flags.resume,
-                tolerance: flags::flag_tolerance(flag_args)?.unwrap_or_default(),
             };
-            if flag_args.iter().any(|f| f == "--bounds") {
-                commands::solve_bounds(
-                    &parsed,
-                    kind,
-                    measure,
-                    200_000,
-                    &kernel,
-                    &resilience,
-                    &setup,
-                )
-            } else {
-                commands::solve(
-                    &parsed,
-                    kind,
-                    measure,
-                    200_000,
-                    &kernel,
-                    &resilience,
-                    &setup,
-                )
-            }
+            commands::solve(&parsed, &pipeline, &query, resilience.report, 200_000)
         }
         "sweep" => {
             if kind == LumpKind::Exact {

@@ -116,14 +116,16 @@ fn interrupted_solve_resumes_to_the_uninterrupted_answer() {
 fn warm_cache_run_hits_every_stage() {
     let model = model_path();
     let model = model.to_str().unwrap();
-    let cache = scratch("warm");
-    let cache_str = cache.to_str().unwrap();
-    let cold_metrics = scratch("warm-metrics-cold");
-    let warm_metrics = scratch("warm-metrics-warm");
+    // The ordinary lump's kernel and solve stages, and the exact lump's
+    // own measure stage.
+    for (tag, extra) in [("ordinary", &[][..]), ("exact", &["--exact"][..])] {
+        let cache = scratch(&format!("warm-{tag}"));
+        let cache_str = cache.to_str().unwrap();
+        let cold_metrics = scratch(&format!("warm-{tag}-metrics-cold"));
+        let warm_metrics = scratch(&format!("warm-{tag}-metrics-warm"));
 
-    let solve = |metrics_out: &PathBuf| {
-        run_with(
-            &[
+        let solve = |metrics_out: &PathBuf| {
+            let mut args = vec![
                 "solve",
                 model,
                 "--cache-dir",
@@ -132,50 +134,54 @@ fn warm_cache_run_hits_every_stage() {
                 "json",
                 "--metrics-out",
                 metrics_out.to_str().unwrap(),
-            ],
-            &[],
-        )
-    };
+            ];
+            args.extend_from_slice(extra);
+            run_with(&args, &[])
+        };
 
-    let cold = solve(&cold_metrics);
-    assert_eq!(cold.status.code(), Some(0), "{cold:?}");
-    let cold_report = std::fs::read_to_string(&cold_metrics).expect("cold metrics written");
-    // The cold run populates the cache and reports the model's footprint.
-    assert!(
-        counter(&cold_report, "store.write_bytes").unwrap_or(0) > 0,
-        "{cold_report}"
-    );
-    assert!(
-        counter(&cold_report, "md.memory_bytes").unwrap_or(0) > 0,
-        "{cold_report}"
-    );
-    assert!(
-        counter(&cold_report, "mdd.memory_bytes").unwrap_or(0) > 0,
-        "{cold_report}"
-    );
+        let cold = solve(&cold_metrics);
+        assert_eq!(cold.status.code(), Some(0), "{cold:?}");
+        let cold_report = std::fs::read_to_string(&cold_metrics).expect("cold metrics written");
+        // The cold run populates the cache and reports the model's footprint.
+        assert!(
+            counter(&cold_report, "store.write_bytes").unwrap_or(0) > 0,
+            "{cold_report}"
+        );
+        assert!(
+            counter(&cold_report, "md.memory_bytes").unwrap_or(0) > 0,
+            "{cold_report}"
+        );
+        assert!(
+            counter(&cold_report, "mdd.memory_bytes").unwrap_or(0) > 0,
+            "{cold_report}"
+        );
 
-    let warm = solve(&warm_metrics);
-    assert_eq!(warm.status.code(), Some(0), "{warm:?}");
-    assert_eq!(warm.stdout, cold.stdout, "warm output must be identical");
-    let warm_report = std::fs::read_to_string(&warm_metrics).expect("warm metrics written");
-    // Every stage — build, lump, compile, solve, measures — comes out of
-    // the cache: nothing misses, nothing is rewritten.
-    assert!(
-        counter(&warm_report, "store.hit").unwrap_or(0) >= 5,
-        "{warm_report}"
-    );
-    assert_eq!(
-        counter(&warm_report, "store.miss").unwrap_or(0),
-        0,
-        "{warm_report}"
-    );
-    assert_eq!(
-        counter(&warm_report, "store.write_bytes").unwrap_or(0),
-        0,
-        "{warm_report}"
-    );
+        let warm = solve(&warm_metrics);
+        assert_eq!(warm.status.code(), Some(0), "{warm:?}");
+        assert_eq!(
+            warm.stdout, cold.stdout,
+            "{tag}: warm output must be identical"
+        );
+        let warm_report = std::fs::read_to_string(&warm_metrics).expect("warm metrics written");
+        // Every stage — build, lump, compile, solve, measures — comes out
+        // of the cache: nothing misses, nothing is rewritten.
+        assert!(
+            counter(&warm_report, "store.hit").unwrap_or(0) >= 5,
+            "{warm_report}"
+        );
+        assert_eq!(
+            counter(&warm_report, "store.miss").unwrap_or(0),
+            0,
+            "{warm_report}"
+        );
+        assert_eq!(
+            counter(&warm_report, "store.write_bytes").unwrap_or(0),
+            0,
+            "{warm_report}"
+        );
 
-    let _ = std::fs::remove_dir_all(&cache);
-    let _ = std::fs::remove_file(&cold_metrics);
-    let _ = std::fs::remove_file(&warm_metrics);
+        let _ = std::fs::remove_dir_all(&cache);
+        let _ = std::fs::remove_file(&cold_metrics);
+        let _ = std::fs::remove_file(&warm_metrics);
+    }
 }

@@ -4,8 +4,11 @@
 use std::path::PathBuf;
 
 use mdl_cli::commands::{self, Measure};
+use mdl_cli::executor::Query;
 use mdl_cli::parse_model;
-use mdl_core::{KernelOptions, LumpKind, LumpRequest};
+use mdl_core::{KernelOptions, LumpKind, LumpRequest, Pipeline};
+use mdl_linalg::Tolerance;
+use mdl_obs::Budget;
 
 fn load(name: &str) -> mdl_cli::ParsedModel {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -32,16 +35,18 @@ fn worker_pool_lumps_as_documented() {
 #[test]
 fn worker_pool_measures_cross_check() {
     let parsed = load("worker_pool.mdl");
-    let out = commands::solve(
-        &parsed,
-        LumpKind::Ordinary,
-        Measure::Stationary,
-        1_000,
-        &KernelOptions::default(),
-        &mdl_cli::flags::ResilienceFlags::default(),
-        &commands::SolveSetup::ephemeral(0),
-    )
-    .expect("solves");
+    let query = Query {
+        measure: Measure::Stationary,
+        kind: LumpKind::Ordinary,
+        tolerance: Tolerance::default(),
+        bounds: false,
+        fallback: false,
+        kernel: KernelOptions::default(),
+        budget: Budget::unlimited(),
+        checkpoint_every: None,
+        resume: false,
+    };
+    let out = commands::solve(&parsed, &Pipeline::new(0), &query, false, 1_000).expect("solves");
     assert!(out.contains("cross-check"), "{out}");
 }
 

@@ -88,7 +88,7 @@ pub use lump::{
 pub use mrp::{KernelKind, KernelOptions, MdMrp};
 pub use pipeline::{model_source_key, transient_resume, Pipeline, Staged};
 pub use resilient::{KernelRung, MdResilientOptions};
-pub use solve::{SolveOutcome, SolveRequest, SolveTarget};
+pub use solve::{Measure, SolveOutcome, SolveRequest};
 pub use sweep::{sweep_grid, SweepOutcome, SweepPoint, SweepPointResult, SweepRequest};
 
 /// Convenience alias for fallible operations of this crate.

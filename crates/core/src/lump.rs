@@ -355,15 +355,6 @@ impl LumpRequest {
         self
     }
 
-    /// Adds cooperative cancellation via `token` to the configured
-    /// budget (call after [`budget`](Self::budget)); used by the server
-    /// to interrupt lumping when the requesting client disconnects.
-    #[must_use]
-    pub fn cancelled_by(mut self, token: &mdl_obs::CancelToken) -> Self {
-        self.budget = self.budget.clone().cancelled_by(token);
-        self
-    }
-
     /// Iterates lumping rounds (with quasi-reduction between rounds)
     /// until a fixed point instead of the paper's single pass. The number
     /// of rounds lands in [`LumpStats::rounds`].

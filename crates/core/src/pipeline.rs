@@ -56,7 +56,7 @@ use mdl_store::{
 use crate::decomp::{Combiner, DecomposableVector};
 use crate::lump::{LevelLumpStats, LumpRequest, LumpResult, LumpStats};
 use crate::mrp::MdMrp;
-use crate::solve::{SolveOutcome, SolveRequest, SolveTarget};
+use crate::solve::{Measure, SolveOutcome, SolveRequest};
 use crate::Result;
 
 /// Cache key of a model description: the hash of its raw source text.
@@ -528,9 +528,9 @@ impl Pipeline {
 
     /// Restores a solve outcome and its report under `key`, or `None` on
     /// any miss.
-    fn fetch_solve(&self, key: u64, target: SolveTarget) -> Option<(SolveOutcome, RunReport)> {
+    fn fetch_solve(&self, key: u64, target: Measure) -> Option<(SolveOutcome, RunReport)> {
         let outcome = match target {
-            SolveTarget::AccumulatedReward(_) => {
+            Measure::Accumulated(_) => {
                 let v = self.fetch::<Vec<f64>>(key)?;
                 if v.len() != 1 {
                     mdl_obs::counter("store.invalid").inc();
@@ -538,7 +538,7 @@ impl Pipeline {
                 }
                 SolveOutcome::Value(v[0])
             }
-            SolveTarget::Stationary | SolveTarget::Transient(_) => {
+            Measure::Stationary | Measure::Transient(_) => {
                 SolveOutcome::Distribution(self.fetch::<Solution>(key)?)
             }
         };

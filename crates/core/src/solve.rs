@@ -4,7 +4,7 @@
 //! combination — `stationary_with`, `transient_with`,
 //! `expected_accumulated_reward_with`, `solve_resilient`,
 //! `transient_resilient`. [`SolveRequest`] folds them into one builder:
-//! pick a [`SolveTarget`], adjust options, optionally enable the
+//! pick a [`Measure`], adjust options, optionally enable the
 //! fallback ladder, and [`run`](SolveRequest::run). Every run — direct
 //! or resilient — returns the same `(result, RunReport)` shape, so
 //! callers render attempts uniformly.
@@ -24,17 +24,20 @@ use crate::mrp::{KernelKind, KernelOptions, MdMrp};
 use crate::resilient::{method_label, KernelRung, MdResilientOptions};
 use crate::Result;
 
-/// What a [`SolveRequest`] computes.
+/// What a [`SolveRequest`] computes, and which expected reward a solve
+/// reports. The `Debug` form (`Stationary`, `Transient(1.5)`, …) is
+/// part of measure-stage store labels and of `mdlump-cli` output.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SolveTarget {
-    /// The stationary distribution.
+pub enum Measure {
+    /// The stationary distribution: the steady-state expected reward.
     Stationary,
-    /// The transient distribution at time `t`.
+    /// The transient distribution at time `t`: the expected reward at
+    /// `t`.
     Transient(f64),
     /// The expected reward accumulated over `[0, t]`
     /// (`E[∫₀ᵗ r(X_u) du]`) — a scalar, so the outcome is a
     /// [`SolveOutcome::Value`].
-    AccumulatedReward(f64),
+    Accumulated(f64),
 }
 
 /// What a [`SolveRequest`] run produced.
@@ -80,7 +83,7 @@ impl SolveOutcome {
 /// Both paths return a [`RunReport`] recording every attempt.
 ///
 /// ```no_run
-/// use mdl_core::{SolveRequest, SolveTarget};
+/// use mdl_core::SolveRequest;
 ///
 /// # fn demo(mrp: &mdl_core::MdMrp) {
 /// let (result, report) = SolveRequest::stationary()
@@ -93,7 +96,7 @@ impl SolveOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SolveRequest {
-    target: SolveTarget,
+    target: Measure,
     solver: SolverOptions,
     transient: TransientOptions,
     kernel: KernelOptions,
@@ -105,7 +108,7 @@ pub struct SolveRequest {
 
 impl SolveRequest {
     /// A direct (no-fallback) request for `target` with default options.
-    pub fn new(target: SolveTarget) -> Self {
+    pub fn new(target: Measure) -> Self {
         SolveRequest {
             target,
             solver: SolverOptions::default(),
@@ -118,19 +121,19 @@ impl SolveRequest {
         }
     }
 
-    /// Shorthand for [`SolveTarget::Stationary`].
+    /// Shorthand for [`Measure::Stationary`].
     pub fn stationary() -> Self {
-        Self::new(SolveTarget::Stationary)
+        Self::new(Measure::Stationary)
     }
 
-    /// Shorthand for [`SolveTarget::Transient`] at time `t`.
+    /// Shorthand for [`Measure::Transient`] at time `t`.
     pub fn transient(t: f64) -> Self {
-        Self::new(SolveTarget::Transient(t))
+        Self::new(Measure::Transient(t))
     }
 
-    /// Shorthand for [`SolveTarget::AccumulatedReward`] over `[0, t]`.
+    /// Shorthand for [`Measure::Accumulated`] over `[0, t]`.
     pub fn accumulated_reward(t: f64) -> Self {
-        Self::new(SolveTarget::AccumulatedReward(t))
+        Self::new(Measure::Accumulated(t))
     }
 
     /// Replaces the stationary-solver options.
@@ -177,17 +180,6 @@ impl SolveRequest {
     pub fn budget(mut self, budget: Budget) -> Self {
         self.solver.budget = budget.clone();
         self.transient.budget = budget;
-        self
-    }
-
-    /// Adds cooperative cancellation via `token` to whatever budget is
-    /// already configured — the server plumbs a per-request token here
-    /// so a client disconnect interrupts an in-flight solve. Order
-    /// relative to [`budget`](Self::budget) matters: call this after it.
-    #[must_use]
-    pub fn cancelled_by(mut self, token: &mdl_obs::CancelToken) -> Self {
-        self.solver.budget = self.solver.budget.clone().cancelled_by(token);
-        self.transient.budget = self.transient.budget.clone().cancelled_by(token);
         self
     }
 
@@ -242,7 +234,7 @@ impl SolveRequest {
     }
 
     /// What this request computes.
-    pub fn target(&self) -> SolveTarget {
+    pub fn target(&self) -> Measure {
         self.target
     }
 
@@ -257,12 +249,12 @@ impl SolveRequest {
     /// resume snapshots, and any pre-built kernel.
     pub fn write_cache_key(&self, h: &mut Fnv1a) {
         match self.target {
-            SolveTarget::Stationary => h.write_u64(0),
-            SolveTarget::Transient(t) => {
+            Measure::Stationary => h.write_u64(0),
+            Measure::Transient(t) => {
                 h.write_u64(1);
                 h.write_f64(t);
             }
-            SolveTarget::AccumulatedReward(t) => {
+            Measure::Accumulated(t) => {
                 h.write_u64(2);
                 h.write_f64(t);
             }
@@ -320,7 +312,7 @@ impl SolveRequest {
     /// fallback ladder degrades.
     pub fn run(&self, mrp: &MdMrp) -> (Result<SolveOutcome>, RunReport) {
         match self.target {
-            SolveTarget::Stationary => {
+            Measure::Stationary => {
                 let ladder = if self.fallback {
                     self.ladder
                         .clone()
@@ -337,7 +329,7 @@ impl SolveRequest {
                     mrp.solve_resilient_with_kernel(&options, self.prebuilt.clone());
                 (result.map(SolveOutcome::Distribution), report)
             }
-            SolveTarget::Transient(t) => {
+            Measure::Transient(t) => {
                 let (result, report) = mrp.transient_resilient_with_kernel(
                     t,
                     &self.transient,
@@ -347,7 +339,7 @@ impl SolveRequest {
                 );
                 (result.map(SolveOutcome::Distribution), report)
             }
-            SolveTarget::AccumulatedReward(t) => self.run_accumulated(mrp, t),
+            Measure::Accumulated(t) => self.run_accumulated(mrp, t),
         }
     }
 

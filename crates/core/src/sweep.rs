@@ -49,7 +49,7 @@ use mdl_store::Fnv1a;
 use crate::lump::{LumpRequest, LumpResult};
 use crate::mrp::MdMrp;
 use crate::pipeline::{stage_key, Pipeline, Staged};
-use crate::solve::{SolveOutcome, SolveRequest, SolveTarget};
+use crate::solve::{Measure, SolveOutcome, SolveRequest};
 use crate::Result;
 
 /// One parameter assignment of a sweep: a point index plus `(name,
@@ -288,7 +288,7 @@ impl Pipeline {
             let values: Vec<f64> = point.params.iter().map(|(_, v)| *v).collect();
             let n = lumped_mrp.value.num_states();
             let mut warm_started = false;
-            if request.warm_start && matches!(request.solve.target(), SolveTarget::Stationary) {
+            if request.warm_start && matches!(request.solve.target(), Measure::Stationary) {
                 // Nearest solved neighbor whose lumped chain has the same
                 // size; earlier points win ties (deterministic order).
                 let mut best: Option<(f64, usize)> = None;
@@ -313,7 +313,7 @@ impl Pipeline {
 
             let (result, report) = self.solve(&lumped_mrp, &solve);
             let outcome = result?;
-            if matches!(request.solve.target(), SolveTarget::Stationary) {
+            if matches!(request.solve.target(), Measure::Stationary) {
                 if let Some(sol) = outcome.value.solution() {
                     solved.push((values, sol.probabilities.clone()));
                 }

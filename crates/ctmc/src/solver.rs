@@ -1367,7 +1367,7 @@ mod tests {
         };
         let uninterrupted = stationary_power(&r, &opts).unwrap();
 
-        let snaps: Arc<Mutex<Vec<(usize, f64, Vec<f64>)>>> = Arc::new(Mutex::new(Vec::new()));
+        let snaps = Arc::new(Mutex::new(Vec::<(usize, f64, Vec<f64>)>::new()));
         let sink_snaps = snaps.clone();
         let with_sink = SolverOptions {
             checkpoint: Some(CheckpointSink {
@@ -1415,7 +1415,7 @@ mod tests {
     fn interrupt_flushes_a_final_checkpoint() {
         use std::sync::{Arc, Mutex};
         let r = birth_death(1.0, 2.0, 8);
-        let snaps: Arc<Mutex<Vec<(usize, Vec<f64>)>>> = Arc::new(Mutex::new(Vec::new()));
+        let snaps = Arc::new(Mutex::new(Vec::<(usize, Vec<f64>)>::new()));
         let sink_snaps = snaps.clone();
         let opts = SolverOptions {
             budget: mdl_obs::Budget::unlimited().deadline_in(std::time::Duration::ZERO),

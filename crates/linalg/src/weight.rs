@@ -377,14 +377,11 @@ mod tests {
         assert_eq!(Weight::rep(p), 2.5);
         let w = Interval { lo: 1.0, hi: 3.0 };
         assert_eq!(Weight::rep(w), 2.0);
-        assert!(
-            Interval {
-                lo: 0.0,
-                hi: f64::INFINITY
-            }
-            .is_finite()
-                == false
-        );
+        assert!(!Interval {
+            lo: 0.0,
+            hi: f64::INFINITY
+        }
+        .is_finite());
         assert!(w.is_finite());
     }
 

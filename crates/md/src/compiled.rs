@@ -464,8 +464,8 @@ impl<'a, W: Weight> Compiler<'a, W> {
 /// space, with products that run over flat arrays instead of re-walking
 /// the diagrams, optionally on several threads.
 ///
-/// Products are bit-identical to the recursive walk in either form; see
-/// the [module docs](self) for the determinism argument.
+/// Products are bit-identical to the recursive walk in either form; the
+/// module docs in `compiled.rs` give the determinism argument.
 ///
 /// # Example
 ///
@@ -907,7 +907,7 @@ impl<W: Weight> CompiledMdMatrix<W> {
     /// single-vector product would, so every `ys[b]` is **bit-identical**
     /// to an independent [`RateMatrix::acc_mat_vec`] /
     /// [`RateMatrix::acc_vec_mat`] call on `xs[b]` — at any thread count
-    /// (the threaded path reuses the same per-orientation [`Plan`], with
+    /// (the threaded path reuses the same per-orientation `Plan`, with
     /// every thread owning the same disjoint output range across all B
     /// outputs).
     ///
@@ -1130,7 +1130,7 @@ impl IntervalRateMatrix for CompiledMdMatrix<Interval> {
     }
 
     /// Deterministic at every thread count: the threaded path reuses the
-    /// row-oriented [`Plan`], so each output entry is owned by exactly one
+    /// row-oriented `Plan`, so each output entry is owned by exactly one
     /// thread and accumulates its contributions in walk order — the same
     /// sequence of directed-rounded adds as the serial sweep.
     fn acc_bound_operator(&self, f: &[f64], out: &mut [f64], upper: bool) {

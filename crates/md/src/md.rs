@@ -697,8 +697,8 @@ impl Md {
         (Md::pack(self.sizes.clone(), new_levels), removed)
     }
 
-    /// Serializes the MD into arena image sections: tag [`TAG_SIZES`]
-    /// holds the level sizes; level `l` owns tags `16 + 8l` (entry bounds,
+    /// Serializes the MD into arena image sections: tag `0` holds the
+    /// level sizes; level `l` owns tags `16 + 8l` (entry bounds,
     /// `u32`), `+1` (entry rows, `u32`), `+2` (entry cols, `u32`), `+3`
     /// (term bounds, `u32`), `+4` (term coefficients, `f64`) and `+5`
     /// (term children, `u32`).

@@ -504,8 +504,8 @@ impl Mdd {
         self.levels.iter().any(|l| l.children.is_mapped())
     }
 
-    /// Serializes the MDD into arena image sections: tag
-    /// [`TAG_SIZES`] holds the level sizes, level `l` owns tags
+    /// Serializes the MDD into arena image sections: tag `0` holds the
+    /// level sizes, level `l` owns tags
     /// `16 + 4l` (children, `u32`), `16 + 4l + 1` (offsets, `u64`) and
     /// `16 + 4l + 2` (counts, `u64`).
     pub fn write_image(&self, w: &mut ImageWriter) {

@@ -88,6 +88,20 @@ impl From<mdl_md::MdError> for ModelError {
     }
 }
 
+/// Model failures as pipeline build-stage errors: a wrapped core error
+/// passes through, anything else becomes [`CoreError::Build`], whose
+/// `Display` is the original message.
+impl From<ModelError> for CoreError {
+    fn from(e: ModelError) -> Self {
+        match e {
+            ModelError::Core(c) => c,
+            other => CoreError::Build {
+                detail: other.to_string(),
+            },
+        }
+    }
+}
+
 /// A compositional Markov model: components (one per MD level) plus
 /// events. See the [crate-level docs](crate).
 #[derive(Debug, Clone, Default)]

@@ -11,7 +11,7 @@
 //!   socket for client disconnect (which cancels the in-flight solve's
 //!   budget token).
 //! * **workers** — pull jobs from the [`Admission`] queue, execute them
-//!   with per-request `catch_unwind` isolation ([`worker::run_job`]),
+//!   with per-request `catch_unwind` isolation ([`crate::worker::run_job`]),
 //!   send the response back through the job's channel.
 //!
 //! Drain (SIGTERM or the `shutdown` command): the acceptor stops, the
@@ -21,7 +21,7 @@
 //! close, workers exit on the empty queue, and [`Server::join`] sweeps
 //! stale cache debris and flushes metrics before returning.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -39,6 +39,12 @@ use crate::worker::{run_job, Shared};
 /// Poll period for the accept loop, handler reads and worker waits —
 /// the latency bound on noticing drain or disconnect.
 const POLL: Duration = Duration::from_millis(25);
+
+/// The longest request line a connection may send, in bytes, its
+/// newline included. A longer line is refused with `bad-request` and
+/// the connection closed, so one client cannot grow a handler's buffer
+/// without bound. Far above any real model text.
+pub const MAX_REQUEST_LINE: usize = 8 << 20;
 
 /// Server configuration (see `mdl-serve --help` for the flag mapping).
 #[derive(Debug, Clone)]
@@ -253,7 +259,8 @@ fn accept_loop(
 }
 
 /// Serves one connection: request lines in, response lines out, in
-/// lockstep. Returns on EOF, I/O error, or drain.
+/// lockstep. Returns on EOF, I/O error, drain, or a request line longer
+/// than [`MAX_REQUEST_LINE`].
 fn handle_connection(
     stream: TcpStream,
     admission: &Arc<Admission>,
@@ -263,13 +270,15 @@ fn handle_connection(
     stream.set_nodelay(true).ok();
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        // Read one line, tolerating read timeouts (partial data stays
-        // in `line` across iterations of the inner loop).
+        // Read one line, at most one byte past the cap, tolerating read
+        // timeouts (partial data stays in `line` across iterations of
+        // the inner loop).
         let eof = loop {
-            match reader.read_line(&mut line) {
+            let room = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+            match (&mut reader).take(room).read_until(b'\n', &mut line) {
                 Ok(0) => break true,
                 Ok(_) => break false,
                 Err(e)
@@ -287,10 +296,17 @@ fn handle_connection(
         if eof {
             return Ok(());
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match parse_request(line.trim()) {
+        let over_long = line.len() > MAX_REQUEST_LINE;
+        let request = if over_long {
+            Err(format!("request line longer than {MAX_REQUEST_LINE} bytes"))
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => parse_request(text.trim()),
+                Err(e) => Err(format!("request line is not UTF-8: {e}")),
+            }
+        };
+        let response = match request {
             Err(detail) => Response::Error {
                 kind: ErrorKind::BadRequest,
                 detail,
@@ -310,7 +326,9 @@ fn handle_connection(
         writer.write_all(response.render().as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
-        if matches!(response, Response::Draining) {
+        // The rest of an over-long line is never read, so the stream
+        // cannot be resynchronized: hang up after answering.
+        if over_long || matches!(response, Response::Draining) {
             return Ok(());
         }
     }

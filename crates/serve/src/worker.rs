@@ -1,5 +1,8 @@
-//! Request execution: the staged pipeline run by every worker thread,
-//! wrapped in per-request fault isolation.
+//! Request execution: every worker thread builds the request's model and
+//! answers it through [`mdl_cli::executor::answer`], the executor
+//! `mdlump-cli solve` runs too, wrapped in per-request fault isolation.
+//! The daemon adds three things of its own: a lazy model parse, a kernel
+//! memory in front of the store, and a fixed checkpoint policy.
 //!
 //! A worker owns nothing; everything warm is in [`Shared`] — the
 //! on-disk artifact store (crash-safe, advisory-locked) plus an
@@ -26,12 +29,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mdl_cli::commands::Measure;
 use mdl_cli::error::CliError;
-use mdl_core::{
-    model_source_key, LumpKind, LumpRequest, Pipeline, SolveOutcome, SolveRequest, Staged,
-};
-use mdl_ctmc::{RunReport, SolverOptions, TransientOptions};
+use mdl_cli::executor::{answer, Query};
+use mdl_core::{model_source_key, KernelKind, KernelOptions, Pipeline, Staged};
 use mdl_md::CompiledMdMatrix;
 use mdl_obs::{Budget, CancelToken};
 use mdl_store::Store;
@@ -189,10 +189,10 @@ fn error_response(e: CliError) -> Response {
     }
 }
 
-/// The staged solve itself: build (parsing the model on a miss) →
-/// lump → compile → solve → measure, mirroring the one-shot CLI's
-/// orchestration so results are bit-identical with it for the same model
-/// and measure.
+/// One request: build (parsing the model only on a miss), then the
+/// shared executor ([`mdl_cli::executor::answer`]) with the daemon's
+/// fixed policy — the compiled kernel through the kernel memory, and
+/// checkpoints every [`CHECKPOINT_EVERY`] iterations with resume on.
 fn execute(shared: &Shared, params: &SolveParams, cancel: &CancelToken, t0: Instant) -> Response {
     if let Some(injection) = mdl_obs::failpoint::hit("serve.request") {
         let _ = injection;
@@ -201,14 +201,13 @@ fn execute(shared: &Shared, params: &SolveParams, cancel: &CancelToken, t0: Inst
             detail: "injected request failure (failpoint serve.request)".into(),
         };
     }
-    // The deadline budget; the client-disconnect token is layered on
-    // via the request builders' `cancelled_by` so every phase (lump,
-    // compile, solve) observes both.
-    let deadline_budget = match shared.effective_deadline(params.deadline_ms) {
+    // The deadline budget with the client-disconnect token layered on,
+    // so every phase (lump, compile, solve) observes both.
+    let budget = match shared.effective_deadline(params.deadline_ms) {
         Some(d) => Budget::unlimited().deadline_in(d),
         None => Budget::unlimited(),
-    };
-    let budget = deadline_budget.cancelled_by(cancel);
+    }
+    .cancelled_by(cancel);
 
     let model_key = model_source_key(&params.model);
     let pipeline = match &shared.store {
@@ -227,12 +226,7 @@ fn execute(shared: &Shared, params: &SolveParams, cancel: &CancelToken, t0: Inst
             bad_model = Some(detail.clone());
             mdl_core::CoreError::Build { detail }
         })?;
-        parsed.build().map_err(|e| match e {
-            mdl_models::ModelError::Core(c) => c,
-            other => mdl_core::CoreError::Build {
-                detail: other.to_string(),
-            },
-        })
+        Ok(parsed.build()?)
     }) {
         Ok(b) => b,
         Err(e) => {
@@ -246,224 +240,60 @@ fn execute(shared: &Shared, params: &SolveParams, cancel: &CancelToken, t0: Inst
         }
     };
 
-    // A bounds request takes its own path: a tolerance lump that records
-    // the rate envelope, then certified lower/upper sweeps. The lump and
-    // kernel are envelope-specific, so the warm caches do not apply.
-    if params.bounds {
-        let kernel_opts = mdl_core::KernelOptions {
-            kind: mdl_core::KernelKind::Compiled,
+    let query = Query {
+        measure: params.measure,
+        kind: params.kind,
+        tolerance: params.tolerance,
+        bounds: params.bounds,
+        fallback: params.fallback,
+        kernel: KernelOptions {
+            kind: KernelKind::Compiled,
             threads: shared.solve_threads,
-        };
-        return match mdl_cli::commands::certified_bounds(
-            &built.value,
-            params.measure,
-            params.tolerance,
-            &kernel_opts,
-            &budget,
-        ) {
-            Ok(cb) => Response::Ok(OkBody {
-                measure: 0.5 * (cb.bounds.lo + cb.bounds.hi),
-                bounds: Some((cb.bounds.lo, cb.bounds.hi)),
-                original_states: built.value.num_states() as u64,
-                lumped_states: cb.lump.stats.lumped_states,
-                warm: false,
-                elapsed_ms: t0.elapsed().as_millis() as u64,
-                attempts: attempt_rows(&cb.report),
-            }),
-            Err(e) => error_response(e),
-        };
-    }
-    let lump_request = LumpRequest::new(params.kind)
-        .tolerance(params.tolerance)
-        .threads(shared.solve_threads)
-        .budget(budget.clone())
-        .cancelled_by(cancel);
-    let lumped = match pipeline.lump(&built, &lump_request) {
-        Ok(l) => l,
-        Err(e) => return error_response(e.into()),
-    };
-
-    let (value, warm, report) = if params.kind == LumpKind::Exact {
-        match solve_exact(&pipeline, &lumped, params.measure, &budget) {
-            Ok((v, warm)) => (
-                v,
-                built.cached && lumped.cached && warm,
-                RunReport::default(),
-            ),
-            Err(e) => return error_response(e),
-        }
-    } else {
-        let lumped_mrp = Staged {
-            value: lumped.value.mrp.clone(),
-            key: lumped.key,
-            cached: lumped.cached,
-        };
-        match solve_lumped(shared, &pipeline, &lumped_mrp, params, &budget, cancel) {
-            Ok((v, warm, report)) => (v, built.cached && lumped.cached && warm, report),
-            Err(e) => return error_response(e),
-        }
-    };
-
-    Response::Ok(OkBody {
-        measure: value,
-        bounds: None,
-        original_states: built.value.num_states() as u64,
-        lumped_states: lumped.value.stats.lumped_states,
-        warm,
-        elapsed_ms: t0.elapsed().as_millis() as u64,
-        attempts: attempt_rows(&report),
-    })
-}
-
-fn solver_options(budget: &Budget) -> SolverOptions {
-    SolverOptions {
-        tolerance: 1e-12,
-        budget: budget.clone(),
-        ..SolverOptions::default()
-    }
-}
-
-fn transient_options(budget: &Budget) -> TransientOptions {
-    TransientOptions {
-        budget: budget.clone(),
-        ..TransientOptions::default()
-    }
-}
-
-/// The exact-lump path: measures come from the lump's embedded
-/// exit-rate measures; no kernel, no ladder.
-fn solve_exact(
-    pipeline: &Pipeline,
-    lumped: &Staged<mdl_core::LumpResult>,
-    measure: Measure,
-    budget: &Budget,
-) -> Result<(f64, bool), CliError> {
-    let label = format!("exact:{measure:?}");
-    let staged = pipeline.measure(lumped.key, &label, || {
-        let measures = lumped
-            .value
-            .exact_measures()
-            .expect("exact lump has exit rates");
-        let sopts = solver_options(budget);
-        let topts = transient_options(budget);
-        let value = match measure {
-            Measure::Stationary => measures.expected_stationary_reward(&sopts)?,
-            Measure::Transient(t) => measures.expected_transient_reward(t, &topts)?,
-            Measure::Accumulated(t) => measures.expected_accumulated_reward(t, &topts)?,
-        };
-        Ok(vec![value])
-    })?;
-    let value = staged
-        .value
-        .first()
-        .copied()
-        .ok_or_else(|| CliError::Failed("cached measure artifact is empty".into()))?;
-    Ok((value, staged.cached))
-}
-
-/// The ordinary-lump path: compile (or reuse) the kernel, solve through
-/// the ladder, checkpoint long solves into the store and resume from a
-/// prior interrupted run's snapshot.
-fn solve_lumped(
-    shared: &Shared,
-    pipeline: &Pipeline,
-    lumped_mrp: &Staged<mdl_core::MdMrp>,
-    params: &SolveParams,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> Result<(f64, bool, RunReport), CliError> {
-    let kernel_opts = mdl_core::KernelOptions {
-        kind: mdl_core::KernelKind::Compiled,
-        threads: shared.solve_threads,
-    };
-    let mut sopts = solver_options(budget);
-    let mut topts = transient_options(budget);
-    let base = request_for(params.measure, &sopts, &topts, &kernel_opts).fallback(params.fallback);
-    let solve_key = pipeline.solve_key(lumped_mrp.key, &base);
-
-    // Long solves snapshot into the store so a drain or deadline leaves
-    // resumable progress; a finished solve clears its snapshot.
-    if pipeline.store().is_some() {
-        match params.measure {
-            Measure::Stationary => {
-                sopts.checkpoint = pipeline.stationary_checkpoint_sink(solve_key, CHECKPOINT_EVERY);
-            }
-            Measure::Transient(_) => {
-                topts.checkpoint = pipeline.transient_checkpoint_sink(solve_key, CHECKPOINT_EVERY);
-            }
-            Measure::Accumulated(_) => {}
-        }
-        if let Some(ck) = pipeline.load_checkpoint(solve_key) {
-            mdl_obs::counter("serve.resumed").inc();
-            match params.measure {
-                Measure::Stationary => sopts.warm_start = Some(ck.iterate),
-                Measure::Transient(_) => topts.resume_from = mdl_core::transient_resume(&ck),
-                Measure::Accumulated(_) => {}
-            }
-        }
-    }
-
-    // Kernel: in-memory cache first (shared across requests), then the
-    // store (a mapped kernel image — concurrent workers share one
-    // mmap(2) region through the daemon store's mapping cache), then
-    // a fresh compile. A compile failure under the fallback ladder is
-    // survivable — the walk/flat-CSR rungs need no kernel.
-    let cached_kernel = recover(&shared.kernels).get(lumped_mrp.key);
-    let (prebuilt, kernel_warm) = match cached_kernel {
-        Some(k) => {
-            mdl_obs::counter("serve.kernel_memory_hit").inc();
-            (Some(k), true)
-        }
-        None => match pipeline.compile(lumped_mrp, shared.solve_threads, budget) {
-            Ok(staged) => {
-                recover(&shared.kernels).insert(lumped_mrp.key, staged.value.clone());
-                (Some(staged.value), staged.cached)
-            }
-            Err(_) if params.fallback => {
-                mdl_obs::counter("pipeline.compile.failed").inc();
-                (None, false)
-            }
-            Err(e) => return Err(e.into()),
         },
+        budget,
+        checkpoint_every: Some(CHECKPOINT_EVERY),
+        resume: true,
     };
-
-    let mut request = request_for(params.measure, &sopts, &topts, &kernel_opts)
-        .fallback(params.fallback)
-        .cancelled_by(cancel);
-    if let Some(k) = prebuilt {
-        request = request.prebuilt_kernel(k);
-    }
-    let (outcome, run_report) = pipeline.solve(lumped_mrp, &request);
-    let staged = outcome.map_err(CliError::from)?;
-    let value = expected_reward(&lumped_mrp.value, staged.value)?;
-    if pipeline.store().is_some() {
-        pipeline.clear_checkpoint(solve_key)?;
-    }
-    Ok((value, kernel_warm && staged.cached, run_report))
-}
-
-fn request_for(
-    measure: Measure,
-    sopts: &SolverOptions,
-    topts: &TransientOptions,
-    kernel: &mdl_core::KernelOptions,
-) -> SolveRequest {
-    let request = match measure {
-        Measure::Stationary => SolveRequest::stationary(),
-        Measure::Transient(t) => SolveRequest::transient(t),
-        Measure::Accumulated(t) => SolveRequest::accumulated_reward(t),
-    };
-    request
-        .solver_options(sopts.clone())
-        .transient_options(topts.clone())
-        .kernel(kernel.kind)
-        .threads(kernel.threads)
-}
-
-fn expected_reward(mrp: &mdl_core::MdMrp, outcome: SolveOutcome) -> Result<f64, CliError> {
-    match outcome {
-        SolveOutcome::Distribution(sol) => Ok(sol.try_expected_reward(&mrp.reward_vector())?),
-        SolveOutcome::Value(v) => Ok(v),
+    // Kernels: the in-memory cache first (shared across requests), then
+    // the store (a mapped kernel image — concurrent workers share one
+    // mmap(2) region through the store's mapping cache), then a fresh
+    // compile.
+    let answered = answer(
+        &pipeline,
+        &built,
+        &query,
+        |pipeline, lumped, threads, budget| {
+            let hit = recover(&shared.kernels).get(lumped.key);
+            if let Some(kernel) = hit {
+                mdl_obs::counter("serve.kernel_memory_hit").inc();
+                // Under the lump's key, as the memory holds it.
+                return Ok(Staged {
+                    value: kernel,
+                    key: lumped.key,
+                    cached: true,
+                });
+            }
+            let staged = pipeline.compile(lumped, threads, budget)?;
+            recover(&shared.kernels).insert(lumped.key, staged.value.clone());
+            Ok(staged)
+        },
+    );
+    match answered {
+        Ok(a) => {
+            if a.resumed_from.is_some() {
+                mdl_obs::counter("serve.resumed").inc();
+            }
+            Response::Ok(OkBody {
+                measure: a.measure,
+                bounds: a.bounds.map(|b| (b.lo, b.hi)),
+                original_states: built.value.num_states() as u64,
+                lumped_states: a.lump.lumped_states,
+                warm: a.warm,
+                elapsed_ms: t0.elapsed().as_millis() as u64,
+                attempts: attempt_rows(&a.report),
+            })
+        }
+        Err(e) => error_response(e),
     }
 }
 
@@ -471,6 +301,8 @@ fn expected_reward(mrp: &mdl_core::MdMrp, outcome: SolveOutcome) -> Result<f64, 
 mod tests {
     use super::*;
     use crate::protocol::ShedReason;
+    use mdl_cli::commands::Measure;
+    use mdl_core::LumpKind;
     use std::sync::mpsc;
 
     pub(crate) const MODEL: &str = crate::EXAMPLE_MODEL;
@@ -711,6 +543,58 @@ mod tests {
         assert_eq!(warm.measure.to_bits(), cold.measure.to_bits());
     }
 
+    /// The store operations the third of three identical requests does,
+    /// once every artifact it reads is stored and mapped:
+    /// `[store.hit, store.map.hit, store.miss, serve.kernel_memory_hit]`.
+    fn warm_store_traffic(shared: &Shared, params: &SolveParams) -> [u64; 4] {
+        let names = [
+            "store.hit",
+            "store.map.hit",
+            "store.miss",
+            "serve.kernel_memory_hit",
+        ];
+        let mut before = [0; 4];
+        for _ in 0..3 {
+            before = names.map(|n| mdl_obs::counter(n).get());
+            let (job, _rx) = job_for(params.clone());
+            assert!(matches!(run_job(shared, &job), Response::Ok(_)));
+        }
+        let mut delta = names.map(|n| mdl_obs::counter(n).get());
+        for (d, b) in delta.iter_mut().zip(before) {
+            *d -= b;
+        }
+        delta
+    }
+
+    #[test]
+    fn warm_requests_do_a_fixed_set_of_store_operations() {
+        let _guard = mdl_obs::testing::guard();
+        mdl_obs::set_enabled(true);
+        mdl_obs::failpoint::clear();
+        let temp = TempStore::new("traffic");
+        let shared = temp.shared();
+
+        // Build (4 artifacts, 2 of them mapped images), lump (meta, 4
+        // artifacts, 2 partitions) and solve (solution and report) hit;
+        // the kernel comes from memory; the one miss is the checkpoint
+        // probe of the resume policy.
+        let stationary = solve_params(MODEL);
+        assert_eq!(warm_store_traffic(&shared, &stationary), [13, 4, 1, 1]);
+        // Exact lumping: build and lump as above, plus the cached
+        // measure; no kernel and no checkpoint.
+        let exact = SolveParams {
+            kind: LumpKind::Exact,
+            ..solve_params(MODEL)
+        };
+        assert_eq!(warm_store_traffic(&shared, &exact), [12, 4, 0, 0]);
+        // Bounds: only the build stage touches the store.
+        let bounds = SolveParams {
+            bounds: true,
+            ..solve_params(MODEL)
+        };
+        assert_eq!(warm_store_traffic(&shared, &bounds), [4, 2, 0, 0]);
+    }
+
     #[test]
     fn worker_panic_is_caught_as_internal_error() {
         let _guard = mdl_obs::testing::guard();
@@ -766,7 +650,7 @@ mod tests {
     fn cancelled_token_interrupts_the_solve() {
         let _guard = mdl_obs::testing::guard();
         mdl_obs::failpoint::clear();
-        let (mut job, _rx) = job_for(solve_params(MODEL));
+        let (job, _rx) = job_for(solve_params(MODEL));
         job.cancel.cancel();
         match run_job(&shared(), &job) {
             Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Interrupted),

@@ -142,7 +142,7 @@ impl Store {
     ///
     /// [`StoreError::Io`] on write failure (after bounded retries on
     /// transient errors) or when the lock cannot be acquired within
-    /// [`LOCK_WAIT`].
+    /// the lock wait of 30 s.
     pub fn save<A: Artifact>(&self, key: u64, artifact: &A) -> Result<(), StoreError> {
         let path = self.path_for::<A>(key);
         let mapped = A::EXTENSION != "mdls";
@@ -185,8 +185,8 @@ impl Store {
     /// debris from writers killed mid-write. Plain artifacts leave
     /// `*.lock` / `*.tmp.*` files; mappable image artifacts (`.mdlm`)
     /// leave `*.maplock` / `*.new.*` files — both families are swept.
-    /// Entries younger than [`STALE_LOCK_AGE`] are kept unless `force`
-    /// is set (they may belong to a live writer). Returns the number
+    /// Entries younger than the stale-lock age of 10 s are kept unless
+    /// `force` is set (they may belong to a live writer). Returns the number
     /// removed. Never touches artifacts.
     ///
     /// # Errors

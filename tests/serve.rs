@@ -12,18 +12,22 @@
 //! test serializes on `mdl_obs::testing::guard()`.
 
 use std::collections::HashSet;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use mdl_cli::commands::Measure;
+use mdl_cli::commands::{certified_bounds, Measure};
 use mdl_core::{
-    model_source_key, KernelKind, LumpKind, LumpRequest, Pipeline, SolveOutcome, SolveRequest,
-    Staged,
+    model_source_key, KernelKind, KernelOptions, LumpKind, LumpRequest, Pipeline, SolveOutcome,
+    SolveRequest, Staged,
 };
 use mdl_ctmc::{SolverOptions, TransientOptions};
-use mdl_obs::json::{self, Json};
+use mdl_linalg::Tolerance;
+use mdl_obs::json::{self, Json, JsonObject};
+use mdl_obs::Budget;
 use mdl_serve::client::{Client, SolveLine};
-use mdl_serve::server::{Server, ServerConfig};
+use mdl_serve::server::{Server, ServerConfig, MAX_REQUEST_LINE};
 use mdl_serve::EXAMPLE_MODEL;
 
 /// A per-test scratch cache directory (no tempdir crate; the daemon's
@@ -94,31 +98,31 @@ fn assert_trichotomy(line: &str) -> Json {
 
 /// The one-shot library solve the daemon must match bit-for-bit: the
 /// same staged pipeline (build → lump → compile → solve → expected
-/// reward) with the same solver options the server uses.
-fn library_measure(measure: Measure) -> f64 {
+/// reward, or the exact lump's own measures) with the same solver
+/// options the server uses.
+fn library_measure(kind: LumpKind, measure: Measure) -> f64 {
     let parsed = mdl_cli::parse_model(EXAMPLE_MODEL).unwrap();
     let pipeline = Pipeline::new(model_source_key(EXAMPLE_MODEL));
-    let built = pipeline
-        .build(|| {
-            parsed.build().map_err(|e| match e {
-                mdl_models::ModelError::Core(c) => c,
-                other => mdl_core::CoreError::Build {
-                    detail: other.to_string(),
-                },
-            })
-        })
+    let built = pipeline.build(|| Ok(parsed.build()?)).unwrap();
+    let lumped = pipeline.lump(&built, &LumpRequest::new(kind)).unwrap();
+    let sopts = SolverOptions {
+        tolerance: 1e-12,
+        ..SolverOptions::default()
+    };
+    if kind == LumpKind::Exact {
+        let measures = lumped.value.exact_measures().unwrap();
+        let topts = TransientOptions::default();
+        return match measure {
+            Measure::Stationary => measures.expected_stationary_reward(&sopts),
+            Measure::Transient(t) => measures.expected_transient_reward(t, &topts),
+            Measure::Accumulated(t) => measures.expected_accumulated_reward(t, &topts),
+        }
         .unwrap();
-    let lumped = pipeline
-        .lump(&built, &LumpRequest::new(LumpKind::Ordinary))
-        .unwrap();
+    }
     let lumped_mrp = Staged {
         value: lumped.value.mrp.clone(),
         key: lumped.key,
         cached: lumped.cached,
-    };
-    let sopts = SolverOptions {
-        tolerance: 1e-12,
-        ..SolverOptions::default()
     };
     let request = match measure {
         Measure::Stationary => SolveRequest::stationary(),
@@ -213,44 +217,102 @@ fn successful_solves_match_the_library_bit_for_bit() {
     let server = start(ServerConfig::default());
     let mut c = connect(&server);
 
-    for (measure, line) in [
-        (
-            Measure::Stationary,
-            SolveLine::new(EXAMPLE_MODEL).measure("stationary").build(),
-        ),
-        (
-            Measure::Transient(0.5),
-            SolveLine::new(EXAMPLE_MODEL)
-                .measure("transient")
-                .t(0.5)
-                .build(),
-        ),
-        (
-            Measure::Accumulated(1.5),
-            SolveLine::new(EXAMPLE_MODEL)
-                .measure("accumulated")
-                .t(1.5)
-                .build(),
-        ),
+    for (kind, lump) in [(LumpKind::Ordinary, "ordinary"), (LumpKind::Exact, "exact")] {
+        for (measure, line) in [
+            (
+                Measure::Stationary,
+                SolveLine::new(EXAMPLE_MODEL)
+                    .lump(lump)
+                    .measure("stationary")
+                    .build(),
+            ),
+            (
+                Measure::Transient(0.5),
+                SolveLine::new(EXAMPLE_MODEL)
+                    .lump(lump)
+                    .measure("transient")
+                    .t(0.5)
+                    .build(),
+            ),
+            (
+                Measure::Accumulated(1.5),
+                SolveLine::new(EXAMPLE_MODEL)
+                    .lump(lump)
+                    .measure("accumulated")
+                    .t(1.5)
+                    .build(),
+            ),
+        ] {
+            let reply = assert_trichotomy(&c.request(&line).unwrap());
+            assert_eq!(
+                reply.get("status").and_then(Json::as_str),
+                Some("ok"),
+                "solve failed: {reply:?}"
+            );
+            let wire = reply.get("measure").and_then(Json::as_f64).unwrap();
+            let reference = library_measure(kind, measure);
+            assert_eq!(
+                wire.to_bits(),
+                reference.to_bits(),
+                "daemon {wire} != library {reference} for {kind:?} {measure:?}"
+            );
+            assert_eq!(reply.get("original_states").and_then(Json::as_u64), Some(8));
+            let lumped = reply.get("lumped_states").and_then(Json::as_u64).unwrap();
+            assert!(
+                (1..=8).contains(&lumped),
+                "lumped_states out of range: {lumped}"
+            );
+        }
+    }
+    server.drain();
+    server.join();
+}
+
+#[test]
+fn bounds_replies_match_certified_bounds_bit_for_bit() {
+    let _guard = mdl_obs::testing::guard();
+    mdl_obs::failpoint::clear();
+    let server = start(ServerConfig::default());
+    let mut c = connect(&server);
+
+    // A near-symmetric model at two decimals (a real envelope) and the
+    // exactly lumpable example (the degenerate interval).
+    let near = include_str!("../models/mixed_speed_pool.mdl");
+    for (model, measure, tolerance) in [
+        (near, Measure::Stationary, Tolerance::Decimals(2)),
+        (near, Measure::Transient(0.5), Tolerance::Decimals(2)),
+        (EXAMPLE_MODEL, Measure::Stationary, Tolerance::default()),
     ] {
-        let reply = assert_trichotomy(&c.request(&line).unwrap());
+        let mut line = JsonObject::new();
+        line.str("cmd", "solve")
+            .str("model", model)
+            .bool("bounds", true);
+        if let Measure::Transient(t) = measure {
+            line.str("measure", "transient").f64("t", t);
+        }
+        if let Tolerance::Decimals(d) = tolerance {
+            line.u64("tolerance", u64::from(d));
+        }
+        let reply = assert_trichotomy(&c.request(&line.close()).unwrap());
         assert_eq!(
             reply.get("status").and_then(Json::as_str),
             Some("ok"),
-            "solve failed: {reply:?}"
+            "bounds solve failed: {reply:?}"
         );
-        let wire = reply.get("measure").and_then(Json::as_f64).unwrap();
-        let reference = library_measure(measure);
+        let field = |key: &str| reply.get(key).and_then(Json::as_f64).unwrap().to_bits();
+
+        let mrp = mdl_cli::parse_model(model).unwrap().build().unwrap();
+        let kernel = KernelOptions {
+            kind: KernelKind::Compiled,
+            threads: 1,
+        };
+        let cb = certified_bounds(&mrp, measure, tolerance, &kernel, &Budget::unlimited()).unwrap();
+        assert_eq!(field("measure_lo"), cb.bounds.lo.to_bits(), "{measure:?}");
+        assert_eq!(field("measure_hi"), cb.bounds.hi.to_bits(), "{measure:?}");
         assert_eq!(
-            wire.to_bits(),
-            reference.to_bits(),
-            "daemon {wire} != library {reference} for {measure:?}"
-        );
-        assert_eq!(reply.get("original_states").and_then(Json::as_u64), Some(8));
-        let lumped = reply.get("lumped_states").and_then(Json::as_u64).unwrap();
-        assert!(
-            (1..=8).contains(&lumped),
-            "lumped_states out of range: {lumped}"
+            field("measure"),
+            (0.5 * (cb.bounds.lo + cb.bounds.hi)).to_bits(),
+            "{measure:?}"
         );
     }
     server.drain();
@@ -468,7 +530,7 @@ fn concurrent_chaos_clients_terminate_in_the_trichotomy_without_corrupting_the_c
                 // (different method, same converged answer): correct to
                 // solver tolerance, not necessarily the same bits.
                 let wire = parsed.get("measure").and_then(Json::as_f64).unwrap();
-                let reference = library_measure(Measure::Stationary);
+                let reference = library_measure(LumpKind::Ordinary, Measure::Stationary);
                 assert!(
                     (wire - reference).abs() <= 1e-6 * reference.abs().max(1.0),
                     "client {i} round {round} got a wrong answer: {wire} vs {reference}"
@@ -548,4 +610,79 @@ fn warm_cache_solves_report_warm_and_resume_survives_a_drain() {
     server.drain();
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A raw connection for request lines that [`Client`] cannot send:
+/// bytes that are not UTF-8, or more of them than the daemon reads.
+fn raw_connection(server: &Server) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    (stream, reader)
+}
+
+fn read_reply(reader: &mut BufReader<TcpStream>) -> Json {
+    let mut reply = String::new();
+    let n = reader.read_line(&mut reply).expect("reply line");
+    assert!(n > 0, "the daemon closed the connection without a reply");
+    assert_trichotomy(reply.trim_end())
+}
+
+#[test]
+fn a_request_line_that_is_not_utf8_is_a_bad_request() {
+    let _guard = mdl_obs::testing::guard();
+    mdl_obs::failpoint::clear();
+    let server = start(ServerConfig::default());
+    let (mut stream, mut reader) = raw_connection(&server);
+    stream
+        .write_all(b"{\"cmd\":\"solve\",\"model\":\"\xff\xfe\"}\n{\"cmd\":\"ping\"}\n")
+        .unwrap();
+    let reply = read_reply(&mut reader);
+    assert_eq!(
+        reply.get("kind").and_then(Json::as_str),
+        Some("bad-request")
+    );
+    // The connection stays open for the next request.
+    let pong = read_reply(&mut reader);
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+    drop((stream, reader));
+    server.drain();
+    server.join();
+}
+
+#[test]
+fn an_over_long_request_line_is_refused_and_its_connection_closed() {
+    let _guard = mdl_obs::testing::guard();
+    mdl_obs::failpoint::clear();
+    let server = start(ServerConfig::default());
+    let (mut stream, mut reader) = raw_connection(&server);
+    // One byte past the cap, with no newline in sight.
+    stream.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]).unwrap();
+    let reply = read_reply(&mut reader);
+    assert_eq!(
+        reply.get("kind").and_then(Json::as_str),
+        Some("bad-request")
+    );
+    let detail = reply.get("detail").and_then(Json::as_str).unwrap();
+    assert!(
+        detail.contains(&MAX_REQUEST_LINE.to_string()),
+        "the detail names the cap: {detail}"
+    );
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_line(&mut rest).unwrap(),
+        0,
+        "then the daemon hangs up"
+    );
+    drop((stream, reader));
+
+    // Other connections are served as before.
+    let mut c = connect(&server);
+    let pong = assert_trichotomy(&c.request(r#"{"cmd":"ping"}"#).unwrap());
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+    drop(c);
+    server.drain();
+    server.join();
 }
