@@ -2,10 +2,12 @@
 //!
 //! Runs the pipeline's representative measurements — tandem model build,
 //! compositional lumping, kernel compilation, walk vs. compiled
-//! matrix–vector products, the stationary solve, and the observability
-//! no-op overheads — with the counting allocator installed, and emits a
-//! versioned baseline: one JSONL file of per-metric wall-time medians,
-//! spreads and peak-memory high-water marks over `--reps` repetitions.
+//! matrix–vector products, the stationary solve, a parameter sweep
+//! against naive repeated solves, warm kernel opens, and the
+//! observability no-op overheads — with the counting allocator
+//! installed, and emits a versioned baseline: one JSONL file of
+//! per-metric wall-time medians, spreads and peak-memory high-water
+//! marks over `--reps` repetitions.
 //!
 //! ```text
 //! report [--smoke] [--jobs J] [--reps N] [--rev REV] [--out FILE]
@@ -21,6 +23,9 @@
 //!   (default 75) or its peak memory more than `--max-mem-regress`
 //!   percent (default 50). Thresholds are deliberately loose by default:
 //!   the gate is for catching "it got twice as slow", not µs jitter.
+//!   The gate also enforces two timing invariants of the fresh run: the
+//!   mapped warm open is at least 10x faster than the decode path, and
+//!   the cold sweep at least 1.5x faster than the naive one.
 //! * `--smoke`: small model (`J = 1`), few reps — the CI configuration.
 //! * `--jobs J`: tandem size (default 1 for `--smoke`, else 2; `--jobs 3`
 //!   produces the per-stage breakdown table recorded in EXPERIMENTS.md).
@@ -34,11 +39,15 @@
 use std::time::Instant;
 
 use mdl_bench::{duration_ns, emit_jsonl};
-use mdl_core::{LumpKind, LumpRequest};
+use mdl_core::{
+    model_source_key, sweep_grid, DecomposableVector, LumpKind, LumpRequest, Pipeline,
+    SolveOutcome, SolveRequest, SweepOutcome, SweepRequest,
+};
 use mdl_ctmc::{stationary_power, SolverOptions};
 use mdl_linalg::RateMatrix;
 use mdl_md::CompiledMdMatrix;
 use mdl_models::tandem::{TandemConfig, TandemModel, TandemReward};
+use mdl_models::ComposedModel;
 use mdl_obs::json::{self, Json, JsonObject};
 use mdl_store::{KernelImage, Store};
 
@@ -59,6 +68,19 @@ struct Config {
     max_mem_regress: f64,
 }
 
+/// Every flag `report` accepts; any other `--` token is an error, so a
+/// mistyped `--check` cannot silently skip the gate.
+const FLAGS: &[&str] = &[
+    "--smoke",
+    "--jobs",
+    "--reps",
+    "--rev",
+    "--out",
+    "--check",
+    "--max-wall-regress",
+    "--max-mem-regress",
+];
+
 fn value_of(args: &[String], flag: &str) -> Result<Option<String>, String> {
     match args.iter().position(|a| a == flag) {
         None => Ok(None),
@@ -71,6 +93,12 @@ fn value_of(args: &[String], flag: &str) -> Result<Option<String>, String> {
 
 fn config() -> Result<Config, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+    {
+        return Err(format!("unknown flag {unknown}"));
+    }
     let smoke = args.iter().any(|a| a == "--smoke");
     let reps = match value_of(&args, "--reps")? {
         Some(v) => v
@@ -204,6 +232,57 @@ fn products<M: RateMatrix>(m: &M, sweeps: usize) -> Vec<f64> {
     y
 }
 
+/// The swept event and grid of the `sweep.*` rows: the tandem
+/// hypercube's service rate over five points of `[0.5, 2.0]`.
+const SWEEP_EVENT: &str = "hyper_service";
+const SWEEP_RATES: [f64; 5] = [0.5, 0.875, 1.25, 1.625, 2.0];
+
+fn rerated(base: &ComposedModel, rate: f64) -> ComposedModel {
+    let mut model = base.clone();
+    model
+        .set_event_rate(SWEEP_EVENT, rate)
+        .expect("the tandem model has the swept event");
+    model
+}
+
+/// The naive sweep: every point rebuilt in full — reachability,
+/// lumping, kernel, solve — as independent CLI runs would.
+fn naive_sweep(base: &ComposedModel, reward: &DecomposableVector) -> Vec<SolveOutcome> {
+    SWEEP_RATES
+        .iter()
+        .map(|&rate| {
+            let mrp = rerated(base, rate)
+                .build_md_mrp(reward.clone())
+                .expect("tandem model builds");
+            let lumped = LumpRequest::new(LumpKind::Ordinary)
+                .run(&mrp)
+                .expect("tandem model lumps");
+            SolveRequest::stationary()
+                .run(&lumped.mrp)
+                .0
+                .expect("lumped tandem solves")
+        })
+        .collect()
+}
+
+/// The same grid through `Pipeline::sweep`: reachability once, re-lumps
+/// of only the levels a rate change touches, cold solves.
+fn cold_sweep(base: &ComposedModel, reward: &DecomposableVector) -> SweepOutcome {
+    let reach = base.reachable().expect("tandem model explores");
+    let points = sweep_grid(&[(SWEEP_EVENT.to_string(), SWEEP_RATES.to_vec())]);
+    let request = SweepRequest::new(
+        LumpRequest::new(LumpKind::Ordinary),
+        SolveRequest::stationary(),
+    )
+    .warm_start(false);
+    Pipeline::new(model_source_key("report:sweep"))
+        .sweep(&points, &request, |pt| {
+            Ok(rerated(base, pt.params[0].1)
+                .build_md_mrp_with_reach(reward.clone(), reach.clone())?)
+        })
+        .expect("tandem sweep succeeds")
+}
+
 fn run_measurements(cfg: &Config) -> Vec<Metric> {
     let jobs = cfg.jobs;
     let sweeps = if cfg.smoke || jobs >= 3 { 3 } else { 10 };
@@ -247,6 +326,23 @@ fn run_measurements(cfg: &Config) -> Vec<Metric> {
     let lumped_compiled = CompiledMdMatrix::compile(lumped.mrp.matrix());
     metrics.push(measure("solve.stationary.lumped", reps, || {
         stationary_power(&lumped_compiled, &SolverOptions::default()).expect("lumped tandem solves")
+    }));
+
+    // Sweep economics, always at J = 1: the naive rebuild of five
+    // points at J = 2 alone would outlast the rest of the report.
+    let sweep_model = TandemModel::new(TandemConfig {
+        jobs: 1,
+        ..TandemConfig::default()
+    });
+    let sweep_reward = sweep_model
+        .reward(TandemReward::Availability)
+        .expect("reward builds");
+    let sweep_base = sweep_model.composed();
+    metrics.push(measure("sweep.naive", reps, || {
+        naive_sweep(sweep_base, &sweep_reward)
+    }));
+    metrics.push(measure("sweep.cold", reps, || {
+        cold_sweep(sweep_base, &sweep_reward)
     }));
 
     // Warm-open cost: re-opening the persisted kernel for a new run.
@@ -398,6 +494,37 @@ fn check(cfg: &Config, current: &[Metric], baseline_path: &str) -> Result<Vec<St
     Ok(failures)
 }
 
+/// The timing invariants of one run, printed always and enforced
+/// whenever the gate runs: the mapped warm open beats the decode path
+/// by at least 10x (the arena-image artifacts exist for this), and the
+/// cold sweep beats naive repeated solves by at least 1.5x (the sweep
+/// engine exists for this). Returns the violations.
+fn invariants(metrics: &[Metric]) -> Vec<String> {
+    let wall = |name: &str| metrics.iter().find(|m| m.name == name).map(|m| m.wall_ns);
+    let mut failures = Vec::new();
+    if let (Some(decode), Some(map)) = (wall("warm_open.decode"), wall("warm_open.map")) {
+        let ratio = decode as f64 / map.max(1) as f64;
+        println!("warm_open: map {ratio:.1}x faster than decode");
+        if ratio < 10.0 {
+            failures.push(format!(
+                "warm_open: map only {ratio:.1}x faster than decode (< 10x)"
+            ));
+        }
+    }
+    if let (Some(naive), Some(cold)) = (wall("sweep.naive"), wall("sweep.cold")) {
+        // A margin, not a bare `cold < naive`: a sweep engine that
+        // degrades to the naive path would pass that half the time.
+        let ratio = naive as f64 / cold.max(1) as f64;
+        println!("sweep: cold {ratio:.1}x faster than naive");
+        if ratio < 1.5 {
+            failures.push(format!(
+                "sweep: cold only {ratio:.1}x faster than naive (< 1.5x)"
+            ));
+        }
+    }
+    failures
+}
+
 fn main() {
     let cfg = match config() {
         Ok(c) => c,
@@ -454,32 +581,10 @@ fn main() {
     println!("\nbaseline written to {out_path}");
     emit_jsonl(&lines);
 
-    // Warm-open speedup: the mapped path must beat the decode path by a
-    // wide margin — that is the whole point of shipping kernel images.
-    // Printed always; enforced (>= 10x) whenever the gate runs.
-    let warm_speedup = {
-        let wall = |name: &str| metrics.iter().find(|m| m.name == name).map(|m| m.wall_ns);
-        match (wall("warm_open.decode"), wall("warm_open.map")) {
-            (Some(decode), Some(map)) if map > 0 => {
-                let ratio = decode as f64 / map as f64;
-                println!("warm_open: map {ratio:.1}x faster than decode");
-                Some(ratio)
-            }
-            _ => None,
-        }
-    };
-
+    let invariant_failures = invariants(&metrics);
     if let Some(baseline) = &cfg.check {
         let gate = check(&cfg, &metrics, baseline).map(|mut failures| {
-            // The mapped warm open must beat the decode path by a wide
-            // margin — the arena-image artifacts exist for this.
-            if let Some(ratio) = warm_speedup {
-                if ratio < 10.0 {
-                    failures.push(format!(
-                        "warm_open: map only {ratio:.1}x faster than decode (< 10x)"
-                    ));
-                }
-            }
+            failures.extend(invariant_failures);
             failures
         });
         match gate {

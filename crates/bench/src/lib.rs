@@ -313,14 +313,34 @@ pub fn jobs_from_args() -> Vec<usize> {
 mod tests {
     use super::*;
 
+    /// Pins the sizes of the regenerated Table 1 (EXPERIMENTS.md) at
+    /// J = 1 and J = 2: overall and per-level state counts and MD nodes
+    /// per level, unlumped, then lumped.
     #[test]
     fn tandem_row_smoke() {
-        let (row, mrp, result) = tandem_row(1, TandemReward::Availability);
-        assert_eq!(row.jobs, 1);
-        assert_eq!(row.overall, mrp.matrix().reach().count());
-        assert_eq!(row.lumped_overall, result.stats.lumped_states);
-        assert!(row.reduction_overall > 1.0);
-        assert_eq!(row.level_sizes.len(), 3);
+        let table = [
+            (1, 40_256, [3, 333, 512], [1, 6, 4], 505, [3, 45, 35]),
+            (
+                2,
+                355_200,
+                [6, 1_665, 2_112],
+                [1, 6, 4],
+                3_930,
+                [6, 207, 135],
+            ),
+        ];
+        for (jobs, overall, levels, nodes, lumped, lumped_levels) in table {
+            let (row, mrp, result) = tandem_row(jobs, TandemReward::Availability);
+            assert_eq!(row.jobs, jobs);
+            assert_eq!(row.overall, mrp.matrix().reach().count());
+            assert_eq!(row.lumped_overall, result.stats.lumped_states);
+            assert_eq!(row.overall, overall, "J = {jobs}");
+            assert_eq!(row.level_sizes, levels, "J = {jobs}");
+            assert_eq!(row.nodes_per_level, nodes, "J = {jobs}");
+            assert_eq!(row.lumped_overall, lumped, "J = {jobs}");
+            assert_eq!(row.lumped_level_sizes, lumped_levels, "J = {jobs}");
+            assert!(row.reduction_overall > 1.0);
+        }
     }
 
     #[test]

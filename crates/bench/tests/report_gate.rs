@@ -86,6 +86,8 @@ fn baseline_emits_versioned_metrics_and_gate_flags_injected_slowdown() {
         "kernel.walk.product",
         "kernel.compiled.product",
         "solve.stationary.lumped",
+        "sweep.naive",
+        "sweep.cold",
     ] {
         assert!(
             names.iter().any(|n| n == expected),
@@ -147,4 +149,12 @@ fn baseline_emits_versioned_metrics_and_gate_flags_injected_slowdown() {
     );
     let stderr = String::from_utf8_lossy(&fail.stderr);
     assert!(stderr.contains("regression"), "{stderr}");
+}
+
+#[test]
+fn a_mistyped_flag_is_an_error_not_a_skipped_gate() {
+    let out = run(&["--smoke", "--chek", "BENCH_seed.json"], &[]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --chek"), "{stderr}");
 }

@@ -1003,35 +1003,87 @@ reward sum
         assert!(err.to_string().contains("certified sweep"), "{err}");
     }
 
+    /// How a certified interval must relate to the unlumped chain's
+    /// measure.
+    enum Expect {
+        /// A genuine envelope that strictly encloses the unlumped value.
+        Encloses,
+        /// An exact lump: the zero-width interval of the scalar solve.
+        ZeroWidth,
+        /// An interval narrower than the unlumped solve's own iteration
+        /// error, so only its midpoint can be compared (to 1e-6).
+        Agrees,
+    }
+
     #[test]
     fn bounds_enclose_unlumped_measures_on_a_tolerance_lump() {
-        let parsed = parse_model(NEAR_MODEL).unwrap();
-        let mrp = parsed.build().unwrap();
+        use mdl_models::shared_repair::{SharedRepairConfig, SharedRepairModel};
+        use mdl_models::tandem::{TandemConfig, TandemModel, TandemReward};
+
+        let near = parse_model(NEAR_MODEL).unwrap().build().unwrap();
+        // Six machines whose failure rates differ by 1e-4: they lump
+        // only when rates are compared to fewer than 4 decimals.
+        let shared = SharedRepairModel::new(SharedRepairConfig {
+            machines: 6,
+            failure_spread: 1e-4,
+            ..SharedRepairConfig::default()
+        })
+        .build_md_mrp()
+        .unwrap();
+        let tandem = TandemModel::new(TandemConfig {
+            jobs: 1,
+            ..TandemConfig::default()
+        })
+        .build_md_mrp_with_reward(TandemReward::Availability)
+        .unwrap();
+        use Expect::{Agrees, Encloses, ZeroWidth};
+        use Tolerance::{Decimals, Exact};
+        let stationary = Measure::Stationary;
+        let cases = [
+            (&near, stationary, Decimals(2), Encloses),
+            (&near, Measure::Transient(0.8), Decimals(2), Encloses),
+            (&shared, stationary, Decimals(2), Encloses),
+            (&shared, stationary, Decimals(3), Encloses),
+            (&shared, stationary, Decimals(4), ZeroWidth),
+            (&shared, stationary, Exact, ZeroWidth),
+            (&tandem, stationary, Tolerance::default(), Agrees),
+        ];
         let kernel = KernelOptions::default();
         let budget = Budget::unlimited();
-        for measure in [Measure::Stationary, Measure::Transient(0.8)] {
-            let cb =
-                certified_bounds(&mrp, measure, Tolerance::Decimals(2), &kernel, &budget).unwrap();
-            assert!(!cb.degenerate, "perturbed rates must leave an envelope");
-            assert!(
-                cb.lump.stats.lumped_states < cb.lump.stats.original_states,
-                "the near-symmetric model must still lump at 2 decimals"
-            );
-            assert!(cb.lump.stats.max_rate_deviation > 0.0);
-            assert!(
-                cb.bounds.hi > cb.bounds.lo,
-                "an inexact lump must widen the enclosure"
-            );
-            // The certified interval encloses the *unlumped* chain's
-            // measure — the acceptance property of the whole feature.
-            let (outcome, _) = request_for(measure, &kernel, &budget).run(&mrp);
-            let full = expected_reward(&mrp, outcome.unwrap()).unwrap();
-            assert!(
-                cb.bounds.lo <= full && full <= cb.bounds.hi,
-                "{measure:?}: unlumped {full} outside [{}, {}]",
-                cb.bounds.lo,
-                cb.bounds.hi
-            );
+        for (i, (mrp, measure, tolerance, expect)) in cases.into_iter().enumerate() {
+            let cb = certified_bounds(mrp, measure, tolerance, &kernel, &budget).unwrap();
+            let (outcome, _) = request_for(measure, &kernel, &budget).run(mrp);
+            let full = expected_reward(mrp, outcome.unwrap()).unwrap();
+            let (lo, hi) = (cb.bounds.lo, cb.bounds.hi);
+            let case =
+                format!("case {i}, {measure:?} at {tolerance:?}: unlumped {full}, [{lo}, {hi}]");
+            assert!(lo.is_finite() && hi.is_finite() && lo <= hi, "{case}");
+            match expect {
+                Encloses => {
+                    assert!(
+                        !cb.degenerate,
+                        "perturbed rates must leave an envelope: {case}"
+                    );
+                    assert!(
+                        cb.lump.stats.lumped_states < cb.lump.stats.original_states,
+                        "the model must still lump: {case}"
+                    );
+                    assert!(cb.lump.stats.max_rate_deviation > 0.0, "{case}");
+                    assert!(hi > lo, "an inexact lump must widen the enclosure: {case}");
+                    // The certified interval encloses the *unlumped*
+                    // chain's measure — the acceptance property of the
+                    // whole feature.
+                    assert!(lo <= full && full <= hi, "{case}");
+                }
+                ZeroWidth => {
+                    assert!(cb.degenerate, "{case}");
+                    assert_eq!(hi - lo, 0.0, "{case}");
+                }
+                Agrees => {
+                    let mid = 0.5 * (lo + hi);
+                    assert!((mid - full).abs() <= 1e-6 * (1.0 + full.abs()), "{case}");
+                }
+            }
         }
     }
 

@@ -2,6 +2,66 @@
 //! explicit missing/invalid-value errors, and the observability options
 //! (`--trace`, `--metrics`, `--metrics-out`) shared by all subcommands.
 
+/// Every flag `mdlump-cli` accepts, across its subcommands.
+pub const CLI_FLAGS: &[&str] = &[
+    "--exact",
+    "--iterate",
+    "--tolerance",
+    "--threads",
+    "--deadline",
+    "--transient",
+    "--accumulated",
+    "--bounds",
+    "--kernel",
+    "--fallback",
+    "--report",
+    "--cache-dir",
+    "--checkpoint-every",
+    "--resume",
+    "--set",
+    "--sweep-out",
+    "--horizon",
+    "--reps",
+    "--seed",
+    "--trace",
+    "--metrics",
+    "--metrics-out",
+    "--profile",
+    "--profile-out",
+];
+
+/// Every flag `mdl-serve` accepts.
+const SERVE_FLAGS: &[&str] = &[
+    "--addr",
+    "--workers",
+    "--queue",
+    "--tenant-cap",
+    "--solve-threads",
+    "--default-deadline",
+    "--max-deadline",
+    "--cache-dir",
+    "--metrics",
+    "--help",
+];
+
+/// Rejects the first `--`-prefixed token in `flags` that `known` does
+/// not list. No flag value starts with `--` (see [`value_of`]), so every
+/// such token is a flag, and a mistyped one must fail rather than leave
+/// its setting at the default.
+///
+/// # Errors
+///
+/// "unknown flag `<token>`" for the first flag not in `known`.
+pub fn check_known_flags(flags: &[String], known: &[&str]) -> Result<(), String> {
+    match flags
+        .iter()
+        .find(|f| f.starts_with("--") && !known.contains(&f.as_str()))
+    {
+        Some(unknown) => Err(format!("unknown flag {unknown}")),
+        None => Ok(()),
+    }
+}
+
 /// Format of the metrics report and streamed events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricsFormat {
@@ -523,9 +583,10 @@ impl Default for ServeFlags {
 ///
 /// # Errors
 ///
-/// A message naming the flag for any missing, malformed or zero-valued
-/// count (`--workers 0` cannot serve anything).
+/// A message naming the flag for any unknown flag, and for any missing,
+/// malformed or zero-valued count (`--workers 0` cannot serve anything).
 pub fn parse_serve_flags(flags: &[String], env_cache: Option<&str>) -> Result<ServeFlags, String> {
+    check_known_flags(flags, SERVE_FLAGS)?;
     let defaults = ServeFlags::default();
     let positive = |flag: &'static str| -> Result<Option<usize>, String> {
         match flag_count(flags, flag)? {
@@ -958,6 +1019,7 @@ mod tests {
                 "60s",
                 "--cache-dir",
                 "/tmp/mdl-cache",
+                "--metrics",
             ]),
             None,
         )
@@ -1003,5 +1065,6 @@ mod tests {
         assert!(e(&["--queue"]).contains("--queue needs a value"));
         assert!(e(&["--tenant-cap", "many"]).contains("--tenant-cap"));
         assert!(e(&["--default-deadline", "soon"]).contains("--default-deadline"));
+        assert_eq!(e(&["--worker", "8"]), "unknown flag --worker");
     }
 }

@@ -125,10 +125,12 @@ struct Session {
     json: bool,
 }
 
-/// Parses the observability/profiling flags and switches the requested
-/// instrumentation on. Runs before the command body so that even a
-/// run that fails while parsing its own flags tears down cleanly.
+/// Rejects unknown flags, then parses the observability/profiling flags
+/// and switches the requested instrumentation on. Runs before the
+/// command body so that even a run that fails while parsing its own
+/// flags tears down cleanly.
 fn setup(flag_args: &[String]) -> Result<Session, String> {
+    flags::check_known_flags(flag_args, flags::CLI_FLAGS)?;
     let obs_flags = flags::parse_obs_flags(flag_args)?;
     let profile = flags::parse_profile_flags(flag_args)?;
     let emitter = setup_obs(&obs_flags)?;

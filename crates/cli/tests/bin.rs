@@ -230,4 +230,14 @@ fn ordinary_failures_exit_one() {
 
     let out = run(&["frobnicate", path.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
+
+    // A mistyped flag is an error, not a run with the default setting.
+    for flags in [&["--bound"][..], &["--tolerence", "2"]] {
+        let out = run(&[&["solve", path.to_str().unwrap()][..], flags].concat());
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        assert!(out.stdout.is_empty(), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let expected = format!("unknown flag {}", flags[0]);
+        assert!(stderr.contains(&expected), "{stderr}");
+    }
 }

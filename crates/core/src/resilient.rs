@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use mdl_ctmc::{
-    solve_ladder, AttemptOutcome, ResilientError, RunReport, Solution, SolverOptions,
+    method_label, solve_ladder, AttemptOutcome, ResilientError, RunReport, Solution, SolverOptions,
     StationaryMethod, TransientOptions,
 };
 use mdl_linalg::CsrMatrix;
@@ -48,13 +48,6 @@ impl KernelRung {
             KernelRung::Walk => "walk",
             KernelRung::FlatCsr => "flat-csr",
         }
-    }
-}
-
-pub(crate) fn method_label(method: StationaryMethod) -> &'static str {
-    match method {
-        StationaryMethod::Power => "power",
-        StationaryMethod::Jacobi => "jacobi",
     }
 }
 
@@ -241,6 +234,45 @@ impl MdMrp {
                     }
                 };
                 sol.map_err(CoreError::from)
+            },
+        )
+    }
+
+    /// The expected reward accumulated over `[0, t]` through a kernel
+    /// fallback ladder; semantics as for
+    /// [`transient_resilient_with_kernel`](Self::transient_resilient_with_kernel).
+    pub(crate) fn accumulated_resilient_with_kernel(
+        &self,
+        t: f64,
+        options: &TransientOptions,
+        rungs: &[KernelRung],
+        threads: usize,
+        prebuilt: Option<Arc<CompiledMdMatrix>>,
+    ) -> (Result<f64>, RunReport) {
+        let initial = self.initial_vector();
+        let reward = self.reward_vector();
+        let mut cache = KernelCache::seeded(prebuilt);
+        solve_ladder(
+            rungs,
+            |k| ("uniformization", Some(k.label())),
+            |k| {
+                let value = match k {
+                    KernelRung::Compiled => {
+                        let kernel = cache.compiled(self, threads, &options.budget)?;
+                        mdl_ctmc::accumulated_reward(kernel, &initial, &reward, t, options)
+                    }
+                    KernelRung::Walk => {
+                        mdl_ctmc::accumulated_reward(self.matrix(), &initial, &reward, t, options)
+                    }
+                    KernelRung::FlatCsr => mdl_ctmc::accumulated_reward(
+                        cache.flat(self),
+                        &initial,
+                        &reward,
+                        t,
+                        options,
+                    ),
+                };
+                value.map_err(CoreError::from)
             },
         )
     }

@@ -10,18 +10,16 @@
 //! callers render attempts uniformly.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use mdl_ctmc::{
-    AttemptOutcome, AttemptRecord, ResilientError, RunReport, Solution, SolverOptions,
-    StationaryMethod, TransientOptions,
+    method_label, RunReport, Solution, SolverOptions, StationaryMethod, TransientOptions,
 };
 use mdl_md::CompiledMdMatrix;
 use mdl_obs::Budget;
 use mdl_store::Fnv1a;
 
 use crate::mrp::{KernelKind, KernelOptions, MdMrp};
-use crate::resilient::{method_label, KernelRung, MdResilientOptions};
+use crate::resilient::{KernelRung, MdResilientOptions};
 use crate::Result;
 
 /// What a [`SolveRequest`] computes, and which expected reward a solve
@@ -339,88 +337,17 @@ impl SolveRequest {
                 );
                 (result.map(SolveOutcome::Distribution), report)
             }
-            Measure::Accumulated(t) => self.run_accumulated(mrp, t),
-        }
-    }
-
-    /// Accumulated reward through the kernel rungs. `solve_ladder` is
-    /// `Solution`-typed, so this synthesizes the [`AttemptRecord`]s for
-    /// the scalar result itself (same outcome classification).
-    fn run_accumulated(&self, mrp: &MdMrp, t: f64) -> (Result<SolveOutcome>, RunReport) {
-        let initial = mrp.initial_vector();
-        let reward = mrp.reward_vector();
-        let mut compiled: Option<Arc<CompiledMdMatrix>> = self.prebuilt.clone();
-        let mut report = RunReport::default();
-        let mut last_err = None;
-        for rung in self.kernel_rungs() {
-            let start = Instant::now();
-            let attempt: Result<f64> = (|| {
-                let value = match rung {
-                    KernelRung::Compiled => {
-                        if compiled.is_none() {
-                            compiled = Some(Arc::new(CompiledMdMatrix::compile_budgeted(
-                                mrp.matrix(),
-                                self.kernel.threads,
-                                &self.transient.budget,
-                            )?));
-                        }
-                        let kernel = compiled.as_deref().expect("just compiled");
-                        mdl_ctmc::accumulated_reward(kernel, &initial, &reward, t, &self.transient)?
-                    }
-                    KernelRung::Walk => mdl_ctmc::accumulated_reward(
-                        mrp.matrix(),
-                        &initial,
-                        &reward,
-                        t,
-                        &self.transient,
-                    )?,
-                    KernelRung::FlatCsr => mdl_ctmc::accumulated_reward(
-                        &mrp.matrix().flatten(),
-                        &initial,
-                        &reward,
-                        t,
-                        &self.transient,
-                    )?,
-                };
-                Ok(value)
-            })();
-            let elapsed = start.elapsed();
-            match attempt {
-                Ok(value) => {
-                    report.attempts.push(AttemptRecord {
-                        method: "uniformization",
-                        kernel: Some(rung.label()),
-                        iterations: 0,
-                        residual: f64::NAN,
-                        outcome: AttemptOutcome::Converged,
-                        error: None,
-                        elapsed,
-                    });
-                    return (Ok(SolveOutcome::Value(value)), report);
-                }
-                Err(e) => {
-                    let (iterations, residual) = e.progress().unwrap_or((0, f64::NAN));
-                    report.attempts.push(AttemptRecord {
-                        method: "uniformization",
-                        kernel: Some(rung.label()),
-                        iterations,
-                        residual,
-                        outcome: e.outcome(),
-                        error: Some(e.to_string()),
-                        elapsed,
-                    });
-                    let stop = !e.retryable();
-                    last_err = Some(e);
-                    if stop {
-                        break;
-                    }
-                }
+            Measure::Accumulated(t) => {
+                let (result, report) = mrp.accumulated_resilient_with_kernel(
+                    t,
+                    &self.transient,
+                    &self.kernel_rungs(),
+                    self.kernel.threads,
+                    self.prebuilt.clone(),
+                );
+                (result.map(SolveOutcome::Value), report)
             }
         }
-        (
-            Err(last_err.expect("at least one kernel rung attempted")),
-            report,
-        )
     }
 }
 
@@ -428,6 +355,7 @@ impl SolveRequest {
 mod tests {
     use super::*;
     use crate::decomp::{Combiner, DecomposableVector};
+    use mdl_ctmc::AttemptOutcome;
     use mdl_md::{KroneckerExpr, MdMatrix, SparseFactor};
     use mdl_mdd::Mdd;
 

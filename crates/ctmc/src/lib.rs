@@ -58,11 +58,12 @@ pub use mdl_linalg::RateMatrix;
 pub use mrp::Mrp;
 pub use parallel::ParCsr;
 pub use resilient::{
-    solve_ladder, AttemptOutcome, AttemptRecord, ResilientError, ResilientOptions, RunReport,
+    method_label, solve_ladder, AttemptOutcome, AttemptRecord, Converged, ResilientError,
+    ResilientOptions, RunReport,
 };
 pub use solver::{
     stationary_gauss_seidel, stationary_jacobi, stationary_power, stationary_power_with_exit_rates,
-    stationary_sor, CheckpointSink, Solution, SolveStats, SolverOptions, StationaryMethod,
+    CheckpointSink, Solution, SolveStats, SolverOptions, StationaryMethod,
 };
 pub use transient::{
     transient_uniformization, transient_uniformization_with_exit_rates, TransientOptions,

@@ -203,27 +203,48 @@ impl Default for ResilientOptions {
 }
 
 /// The label of a stationary method, as used in reports and events.
-pub(crate) fn method_label(method: StationaryMethod) -> &'static str {
+pub fn method_label(method: StationaryMethod) -> &'static str {
     match method {
         StationaryMethod::Power => "power",
         StationaryMethod::Jacobi => "jacobi",
     }
 }
 
+/// What a converged ladder attempt records about itself: the iterations
+/// it took and the residual it reached.
+pub trait Converged {
+    /// `(iterations, residual)` of the converged attempt.
+    fn progress(&self) -> (usize, f64);
+}
+
+impl Converged for Solution {
+    fn progress(&self) -> (usize, f64) {
+        (self.stats.iterations, self.stats.residual)
+    }
+}
+
+/// A scalar measure (an accumulated reward) carries no iteration
+/// record: its attempts report 0 iterations and a NaN residual.
+impl Converged for f64 {
+    fn progress(&self) -> (usize, f64) {
+        (0, f64::NAN)
+    }
+}
+
 /// Drives a fallback ladder: runs `attempt` on each rung in order until
 /// one succeeds or a non-retryable error appears, recording every
-/// attempt (and emitting `solve.attempt`/`solve.fallback` obs events).
-/// Returns the first success or the *last* error, together with the
-/// full report.
+/// attempt (and emitting `solve.attempt`/`solve.fallback` obs events,
+/// counting fallbacks in `solve.fallbacks`). Returns the first success
+/// or the *last* error, together with the full report.
 ///
 /// # Panics
 ///
 /// Panics if `rungs` is empty.
-pub fn solve_ladder<A, E: ResilientError>(
+pub fn solve_ladder<A, T: Converged, E: ResilientError>(
     rungs: &[A],
     label: impl Fn(&A) -> (&'static str, Option<&'static str>),
-    mut attempt: impl FnMut(&A) -> std::result::Result<Solution, E>,
-) -> (std::result::Result<Solution, E>, RunReport) {
+    mut attempt: impl FnMut(&A) -> std::result::Result<T, E>,
+) -> (std::result::Result<T, E>, RunReport) {
     assert!(
         !rungs.is_empty(),
         "the fallback ladder needs at least one rung"
@@ -246,15 +267,18 @@ pub fn solve_ladder<A, E: ResilientError>(
         let result = attempt(rung);
         let elapsed = t0.elapsed();
         let record = match &result {
-            Ok(sol) => AttemptRecord {
-                method,
-                kernel,
-                iterations: sol.stats.iterations,
-                residual: sol.stats.residual,
-                outcome: AttemptOutcome::Converged,
-                error: None,
-                elapsed,
-            },
+            Ok(value) => {
+                let (iterations, residual) = value.progress();
+                AttemptRecord {
+                    method,
+                    kernel,
+                    iterations,
+                    residual,
+                    outcome: AttemptOutcome::Converged,
+                    error: None,
+                    elapsed,
+                }
+            }
             Err(e) => {
                 let (iterations, residual) = e.progress().unwrap_or((0, f64::NAN));
                 AttemptRecord {
@@ -278,7 +302,7 @@ pub fn solve_ladder<A, E: ResilientError>(
         });
         report.attempts.push(record);
         match result {
-            Ok(sol) => return (Ok(sol), report),
+            Ok(value) => return (Ok(value), report),
             Err(e) => {
                 let stop = !e.retryable();
                 last_err = Some(e);

@@ -63,14 +63,11 @@ pub struct SolverOptions {
     /// Iteration budget.
     pub max_iterations: usize,
     /// Report a convergence check (the `solve.check` observability point
-    /// event) every this many iterations. The iterate-difference solvers
-    /// (power, Jacobi, Gauss–Seidel) fuse the residual into the
-    /// normalization pass and therefore test convergence **every**
-    /// iteration at no extra traversal cost — `stats.iterations` is always
-    /// the true iteration count. Only [`stationary_sor`], whose equation
-    /// residual `‖πQ‖∞` costs an extra sparse product, restricts its
-    /// convergence checks to multiples of this value. Values `< 1` are
-    /// treated as `1`.
+    /// event) every this many iterations. The solvers fuse the residual
+    /// into the normalization pass and therefore test convergence
+    /// **every** iteration at no extra traversal cost — `stats.iterations`
+    /// is always the true iteration count. Values `< 1` are treated as
+    /// `1`.
     pub check_every: usize,
     /// Damping factor `ω ∈ (0, 1]` for the Jacobi iteration:
     /// `π ← (1−ω)·π + ω·(π·R)D⁻¹`. Damping (`ω < 1`) breaks the
@@ -293,17 +290,6 @@ impl Solution {
             });
         }
         Ok(vec_ops::dot(&self.probabilities, reward))
-    }
-
-    /// Expected instantaneous reward `Σ_s π(s)·r(s)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reward` has a different length than the solution vector.
-    #[deprecated(note = "use try_expected_reward, which reports a LengthMismatch \
-                         instead of panicking on a bad reward vector")]
-    pub fn expected_reward(&self, reward: &[f64]) -> f64 {
-        vec_ops::dot(&self.probabilities, reward)
     }
 }
 
@@ -663,106 +649,6 @@ pub fn stationary_gauss_seidel(rates: &CsrMatrix, options: &SolverOptions) -> Re
     })
 }
 
-/// Stationary distribution by successive over-relaxation (SOR): a
-/// Gauss–Seidel sweep blended with the previous iterate by the relaxation
-/// factor `omega` (`omega = 1` is exactly Gauss–Seidel; `1 < omega < 2`
-/// typically accelerates convergence on diffusive chains). Flat CSR only.
-///
-/// Over-relaxed sweeps can oscillate slowly on strongly cyclic chains,
-/// fooling an iterate-difference stopping rule; SOR therefore converges on
-/// the **true equation residual** `‖π Q‖∞ < tolerance` (one extra sparse
-/// pass per check).
-///
-/// # Errors
-///
-/// As for [`stationary_gauss_seidel`].
-///
-/// # Panics
-///
-/// Panics unless `0 < omega < 2`.
-pub fn stationary_sor(rates: &CsrMatrix, omega: f64, options: &SolverOptions) -> Result<Solution> {
-    assert!(omega > 0.0 && omega < 2.0, "SOR requires 0 < omega < 2");
-    let n = rates.num_states();
-    let d = exit_rates(rates)?;
-    let obs = SolveObs::new("solve.sor", "sor", n);
-    let columns = rates.transpose();
-    let check_every = options.check_every.max(1);
-
-    let mut ticker = options.budget.ticker(32);
-    let mut guard = StagnationGuard::new(options.stagnation_window);
-    let mut pi = initial_iterate(n, options)?;
-    let mut flow = vec![0.0; n];
-    let mut residual = f64::INFINITY;
-    for it in 1..=options.max_iterations {
-        if let Err(reason) = ticker.tick() {
-            let _ = obs.done(it - 1, residual, false);
-            maybe_checkpoint(options, it - 1, residual, &pi, true);
-            return Err(CtmcError::interrupted(
-                "solve.sor",
-                it - 1,
-                residual,
-                pi,
-                reason,
-            ));
-        }
-        for j in 0..n {
-            let mut acc = 0.0;
-            for (i, v) in columns.row(j) {
-                if i != j {
-                    acc += pi[i] * v;
-                }
-            }
-            let self_loop = rates.get(j, j);
-            let denom = d[j] - self_loop;
-            if denom <= 0.0 {
-                return Err(CtmcError::AbsorbingState { state: j });
-            }
-            let gs = acc / denom;
-            pi[j] = (1.0 - omega) * pi[j] + omega * gs;
-        }
-        inject_iterate(&mut pi, it)?;
-        let sum = vec_ops::normalize_l1(&mut pi);
-        if !sum.is_finite() {
-            let _ = obs.done(it, residual, false);
-            return Err(CtmcError::Diverged {
-                iteration: it,
-                residual: f64::NAN,
-            });
-        }
-        if it % check_every == 0 {
-            // ‖π Q‖∞ = max_j |(π R)(j) − π(j)·d(j)|.
-            vec_ops::fill(&mut flow, 0.0);
-            rates.acc_vec_mat(&pi, &mut flow);
-            for j in 0..n {
-                flow[j] -= pi[j] * d[j];
-            }
-            residual = vec_ops::max_abs(&flow);
-            obs.check(it, residual);
-            if residual < options.tolerance {
-                return Ok(Solution {
-                    probabilities: pi,
-                    stats: obs.done(it, residual, true),
-                });
-            }
-            maybe_checkpoint(options, it, residual, &pi, false);
-            // The guard sees one sample per *check*, so its window counts
-            // checks here — still a fixed multiple of real iterations.
-            if guard.observe(residual) {
-                let _ = obs.done(it, residual, false);
-                return Err(CtmcError::NotConverged {
-                    iterations: it,
-                    residual,
-                });
-            }
-        }
-    }
-    let _ = obs.done(options.max_iterations, residual, false);
-    Err(CtmcError::NotConverged {
-        iterations: options.max_iterations,
-        residual,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -850,42 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn sor_matches_analytic_and_beats_gs_on_iterations() {
-        let r = birth_death(1.0, 2.0, 30);
-        let expected = analytic_birth_death(1.0, 2.0, 30);
-        let opts = SolverOptions {
-            tolerance: 1e-12,
-            ..Default::default()
-        };
-        let gs = stationary_gauss_seidel(&r, &opts).unwrap();
-        let sor = stationary_sor(&r, 1.5, &opts).unwrap();
-        assert_close(&sor.probabilities, &expected, 1e-9);
-        assert!(
-            sor.stats.iterations <= gs.stats.iterations,
-            "SOR {} vs GS {}",
-            sor.stats.iterations,
-            gs.stats.iterations
-        );
-    }
-
-    #[test]
-    fn sor_with_omega_one_is_gauss_seidel() {
-        let r = birth_death(2.0, 3.0, 6);
-        // Same sweeps (the stopping criteria differ: SOR checks ‖πQ‖∞),
-        // same fixed point.
-        let a = stationary_sor(&r, 1.0, &SolverOptions::default()).unwrap();
-        let b = stationary_gauss_seidel(&r, &SolverOptions::default()).unwrap();
-        assert_close(&a.probabilities, &b.probabilities, 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "omega")]
-    fn sor_rejects_bad_relaxation() {
-        let r = birth_death(1.0, 1.0, 3);
-        let _ = stationary_sor(&r, 2.5, &SolverOptions::default());
-    }
-
-    #[test]
     fn absorbing_state_detected() {
         let mut coo = CooMatrix::new(2, 2);
         coo.push(0, 1, 1.0); // state 1 has no exit
@@ -938,10 +788,6 @@ mod tests {
             },
         };
         assert_eq!(sol.try_expected_reward(&[4.0, 0.0]).unwrap(), 1.0);
-        // The deprecated panicking path stays behaviorally identical.
-        #[allow(deprecated)]
-        let legacy = sol.expected_reward(&[4.0, 0.0]);
-        assert_eq!(legacy, 1.0);
         assert!(matches!(
             sol.try_expected_reward(&[1.0]),
             Err(CtmcError::LengthMismatch {
@@ -1000,32 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn sor_check_every_still_checks_on_multiples() {
-        // SOR's equation residual ‖πQ‖∞ costs an extra sparse product, so
-        // it keeps the throttled check: convergence is detected on the
-        // first multiple of check_every at or after the baseline count.
-        let r = birth_death(2.0, 3.0, 6);
-        let base = SolverOptions {
-            tolerance: 1e-10,
-            ..Default::default()
-        };
-        let dense = stationary_sor(&r, 1.2, &base).unwrap();
-        let sparse = stationary_sor(
-            &r,
-            1.2,
-            &SolverOptions {
-                check_every: 7,
-                ..base
-            },
-        )
-        .unwrap();
-        assert_eq!(sparse.stats.iterations % 7, 0);
-        assert!(sparse.stats.iterations >= dense.stats.iterations);
-        assert!(sparse.stats.iterations < dense.stats.iterations + 7);
-        assert!(sparse.stats.residual < 1e-10);
-    }
-
-    #[test]
     fn check_every_zero_is_treated_as_one() {
         let r = birth_death(2.0, 3.0, 6);
         let opts = SolverOptions {
@@ -1035,8 +855,6 @@ mod tests {
         let baseline = stationary_power(&r, &SolverOptions::default()).unwrap();
         let sol = stationary_power(&r, &opts).unwrap();
         assert_eq!(sol.stats.iterations, baseline.stats.iterations);
-        let sor = stationary_sor(&r, 1.2, &opts).unwrap();
-        assert!(sor.stats.residual < opts.tolerance);
     }
 
     #[test]
@@ -1093,14 +911,6 @@ mod tests {
             gs,
             CtmcError::Interrupted {
                 phase: "solve.gauss_seidel",
-                ..
-            }
-        ));
-        let sor = stationary_sor(&r, 1.2, &opts).unwrap_err();
-        assert!(matches!(
-            sor,
-            CtmcError::Interrupted {
-                phase: "solve.sor",
                 ..
             }
         ));

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use mdl_ctmc::{
     accumulated_reward, stationary_gauss_seidel, stationary_jacobi, stationary_power,
-    stationary_sor, transient_uniformization, AttemptOutcome, CtmcError, Mrp, ResilientOptions,
-    SolverOptions, TransientOptions,
+    transient_uniformization, AttemptOutcome, CtmcError, Mrp, ResilientOptions, SolverOptions,
+    TransientOptions,
 };
 use mdl_linalg::{vec_ops, CooMatrix, CsrMatrix, RateMatrix};
 
@@ -33,9 +33,7 @@ fn ergodic_chain(n: usize) -> impl Strategy<Value = CsrMatrix> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The always-convergent stationary solvers agree on random ergodic
-    /// chains; SOR (whose over-relaxed sweep may legitimately fail to
-    /// converge on strongly cyclic chains) agrees whenever it converges.
+    /// The stationary solvers agree on random ergodic chains.
     #[test]
     fn stationary_solvers_agree(r in ergodic_chain(8)) {
         let _g = mdl_obs::testing::guard();
@@ -45,21 +43,6 @@ proptest! {
         let g = stationary_gauss_seidel(&r, &opts).unwrap().probabilities;
         prop_assert!(vec_ops::max_abs_diff(&p, &j) < 1e-8);
         prop_assert!(vec_ops::max_abs_diff(&p, &g) < 1e-8);
-        let sor_opts = SolverOptions {
-            tolerance: 1e-12,
-            max_iterations: 20_000,
-            ..SolverOptions::default()
-        };
-        match stationary_sor(&r, 1.2, &sor_opts) {
-            Ok(sol) => {
-                prop_assert!(vec_ops::max_abs_diff(&p, &sol.probabilities) < 1e-8)
-            }
-            Err(mdl_ctmc::CtmcError::NotConverged { .. }) => {
-                // Over-relaxation has no convergence guarantee here; the
-                // solver reported it honestly (residual-based check).
-            }
-            Err(e) => prop_assert!(false, "unexpected error {e}"),
-        }
     }
 
     /// The stationary vector actually satisfies π Q = 0.

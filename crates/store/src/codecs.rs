@@ -25,7 +25,6 @@ fn intern_label(s: String) -> &'static str {
         "power",
         "jacobi",
         "gauss_seidel",
-        "sor",
         "uniformization",
         "compiled",
         "walk",

@@ -2,9 +2,10 @@
 # CI chaos gate for the mdl-serve daemon.
 #
 # Phase 1 starts the real binary on a free port with a scratch cache,
-# drives it with the concurrent bench client, sends SIGTERM, and asserts
-# the robustness contract:
+# drives it with concurrent clients, sends SIGTERM, and asserts the
+# robustness contract:
 #
+#   * every reply is `ok`, `shed` or `error` (the status trichotomy),
 #   * the daemon exits 0 (graceful drain, never a crash or hang),
 #   * it logs "drained cleanly",
 #   * the cache directory holds no leftover writer sidecar debris
@@ -27,6 +28,7 @@
 set -euo pipefail
 
 REQUESTS="${1:-10}"
+MODEL="$(cd "$(dirname "$0")/.." && pwd)/models/worker_pool.mdl"
 CACHE=$(mktemp -d)
 SHARED=$(mktemp -d)
 OUTDIR=$(mktemp -d)
@@ -83,6 +85,51 @@ print(json.loads(line)["stats"][sys.argv[2]])
 PY
 }
 
+# Drives the daemon at $1 with solve requests for $MODEL: a two-request
+# warm-up that must get an `ok`, then rounds of 1, 4 and 16 concurrent
+# connections of $2 requests each. Fails unless every request gets a
+# reply whose status is `ok`, `shed` or `error`.
+drive() {
+  python3 - "$1" "$2" "$MODEL" <<'PY'
+import json, socket, sys, threading
+
+host, port = sys.argv[1].rsplit(":", 1)
+requests = int(sys.argv[2])
+with open(sys.argv[3]) as f:
+    model = f.read()
+
+def client(count, tenant, statuses):
+    line = (json.dumps({"cmd": "solve", "model": model, "tenant": tenant}) + "\n").encode()
+    with socket.create_connection((host, int(port)), timeout=120) as s:
+        replies = s.makefile("rb")
+        for _ in range(count):
+            s.sendall(line)
+            try:
+                statuses.append(json.loads(replies.readline())["status"])
+            except (ValueError, KeyError, TypeError):
+                statuses.append(None)
+
+warmup = []
+client(2, "warmup", warmup)
+if "ok" not in warmup:
+    sys.exit(f"chaos gate: warm-up got no ok reply: {warmup}")
+for clients in (1, 4, 16):
+    statuses = []
+    threads = [
+        threading.Thread(target=client, args=(requests, f"bench-{i % 4}", statuses))
+        for i in range(clients)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    ok, shed, error = (statuses.count(s) for s in ("ok", "shed", "error"))
+    print(f"chaos gate: {clients:>2} clients: {ok} ok / {shed} shed / {error} error")
+    if ok + shed + error != clients * requests:
+        sys.exit(f"chaos gate: replies outside the trichotomy: {statuses}")
+PY
+}
+
 # ---------------------------------------------------------------------
 # Phase 1: single daemon, SIGTERM drain.
 # ---------------------------------------------------------------------
@@ -91,12 +138,9 @@ SERVE_PID=$DAEMON_PID
 ADDR=$DAEMON_ADDR
 echo "chaos gate: daemon up on $ADDR (pid $SERVE_PID)"
 
-# The bench client must complete against the (possibly fault-injected)
-# daemon — its own smoke-less mode asserts nothing about latency, just
-# that every request terminates. Client-side failpoints would corrupt
-# the drive, so the client runs clean.
-MDL_FAILPOINTS='' cargo run --release -p mdl-bench --bin serve -- \
-  --addr "$ADDR" --requests "$REQUESTS"
+# Latency is not asserted: under injected faults only termination in
+# the trichotomy is.
+drive "$ADDR" "$REQUESTS"
 
 kill -TERM "$SERVE_PID"
 STATUS=0
@@ -119,11 +163,9 @@ PID_B=$DAEMON_PID
 ADDR_B=$DAEMON_ADDR
 echo "chaos gate: shared-store daemons up on $ADDR_A (pid $PID_A) and $ADDR_B (pid $PID_B)"
 
-MDL_FAILPOINTS='' cargo run --release -p mdl-bench --bin serve -- \
-  --addr "$ADDR_A" --requests "$REQUESTS" &
+drive "$ADDR_A" "$REQUESTS" &
 CLIENT_A=$!
-MDL_FAILPOINTS='' cargo run --release -p mdl-bench --bin serve -- \
-  --addr "$ADDR_B" --requests "$REQUESTS" &
+drive "$ADDR_B" "$REQUESTS" &
 CLIENT_B=$!
 wait "$CLIENT_A"
 wait "$CLIENT_B"

@@ -23,6 +23,7 @@ use mdlump::linalg::Tolerance;
 use mdlump::md::MdMatrix;
 use mdlump::mdd::Mdd;
 use mdlump::models::random::{planted_model, LevelSpec};
+use mdlump::models::tandem::{TandemConfig, TandemModel, TandemReward};
 use mdlump::obs::Budget;
 
 /// Builds an `MdMrp` over the full product space of a planted model.
@@ -133,4 +134,45 @@ fn injected_fault_surfaces_as_keys_interruption() {
         .run(&mrp)
         .unwrap();
     assert!(result.stats.lumped_states > 0);
+}
+
+/// The key phase reports its time through the `lump.keys.serial` and
+/// `lump.keys.parallel` span histograms at every worker count, and the
+/// parallel engine is the one that runs them once there are workers:
+/// without these spans the phase's cost is invisible to `--metrics`.
+#[test]
+fn keys_phase_spans_are_recorded_at_every_thread_count() {
+    let _guard = mdlump::obs::testing::guard();
+    let mrp = TandemModel::new(TandemConfig {
+        jobs: 1,
+        ..TandemConfig::default()
+    })
+    .build_md_mrp_with_reward(TandemReward::Availability)
+    .unwrap();
+    let spans = |report: &mdlump::obs::Report, name: &str| {
+        report
+            .histograms
+            .iter()
+            .find(|h| h.name == name)
+            .map_or(0, |h| h.count)
+    };
+    let mut lumped = Vec::new();
+    for threads in [1usize, 2, 4] {
+        mdlump::obs::reset();
+        mdlump::obs::set_enabled(true);
+        let result = LumpRequest::new(LumpKind::Ordinary)
+            .threads(threads)
+            .run(&mrp)
+            .unwrap();
+        let report = mdlump::obs::snapshot();
+        mdlump::obs::set_enabled(false);
+        let serial = spans(&report, "lump.keys.serial");
+        let parallel = spans(&report, "lump.keys.parallel");
+        assert!(serial + parallel > 0, "{threads} threads: no keys spans");
+        if threads > 1 {
+            assert!(parallel > 0, "{threads} threads: no parallel keys spans");
+        }
+        lumped.push(result.stats.lumped_states);
+    }
+    assert_eq!(lumped, [505, 505, 505]);
 }

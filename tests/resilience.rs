@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use mdlump::core::{KernelRung, LumpKind, LumpRequest, MdResilientOptions};
+use mdlump::core::{KernelRung, LumpKind, LumpRequest, MdResilientOptions, SolveRequest};
 use mdlump::ctmc::{AttemptOutcome, SolverOptions, StationaryMethod};
 use mdlump::linalg::vec_ops;
 use mdlump::models::tandem::{TandemConfig, TandemModel};
@@ -83,4 +83,31 @@ fn expired_deadline_interrupts_every_rung() {
     for attempt in &report.attempts {
         assert_eq!(attempt.outcome, AttemptOutcome::Interrupted, "{attempt:?}");
     }
+}
+
+/// Accumulated rewards run through the same fallback ladder as the other
+/// measures, so their fallbacks are counted in `solve.fallbacks` too,
+/// and their scalar answer is recorded with 0 iterations and a NaN
+/// residual.
+#[test]
+fn accumulated_reward_fallbacks_are_counted() {
+    let _g = mdlump::obs::testing::guard();
+    let mrp = tandem_mrp();
+    mdlump::obs::set_enabled(true);
+    let fallbacks = mdlump::obs::counter("solve.fallbacks");
+    let before = fallbacks.get();
+    // A zero node cap interrupts the compiled rung's compile; the walk
+    // rung has no compile step and answers.
+    let (result, report) = SolveRequest::accumulated_reward(2.0)
+        .budget(Budget::unlimited().node_cap(0))
+        .rungs(vec![KernelRung::Compiled, KernelRung::Walk])
+        .run(&mrp);
+    let counted = fallbacks.get() - before;
+    mdlump::obs::set_enabled(false);
+    assert!(result.is_ok(), "{}", report.render());
+    assert_eq!(report.attempts[0].outcome, AttemptOutcome::Interrupted);
+    assert_eq!(report.attempts[1].kernel, Some("walk"));
+    assert_eq!(report.attempts[1].iterations, 0);
+    assert!(report.attempts[1].residual.is_nan());
+    assert_eq!(counted, 1);
 }

@@ -15,7 +15,7 @@ use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mdl_cli::commands::{certified_bounds, Measure};
 use mdl_core::{
@@ -606,6 +606,20 @@ fn warm_cache_solves_report_warm_and_resume_survives_a_drain() {
             .unwrap()
             .to_bits(),
     );
+    // Warm single-client latency: the median of five round trips stays
+    // under 250 ms, a bound loose enough for shared CI runners.
+    let mut latencies: Vec<Duration> = (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            let reply = c.request(&SolveLine::new(EXAMPLE_MODEL).build()).unwrap();
+            let elapsed = t0.elapsed();
+            let reply = assert_trichotomy(&reply);
+            assert_eq!(reply.get("status").and_then(Json::as_str), Some("ok"));
+            elapsed
+        })
+        .collect();
+    latencies.sort_unstable();
+    assert!(latencies[2] <= Duration::from_millis(250), "{latencies:?}");
     drop(c);
     server.drain();
     server.join();
